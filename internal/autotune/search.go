@@ -10,10 +10,9 @@ import (
 	"libshalom/internal/heal"
 	"libshalom/internal/isa"
 	"libshalom/internal/isacheck"
-	"libshalom/internal/kernels"
 	"libshalom/internal/platform"
 	"libshalom/internal/telemetry"
-	"libshalom/internal/uarch"
+	"libshalom/internal/tuner"
 	"libshalom/internal/vexec"
 )
 
@@ -26,6 +25,11 @@ type Candidate struct {
 	// GFLOPS is the uarch scoreboard model's steady-state throughput with
 	// L1-resident operands — the same figure of merit tuner.SearchTile uses.
 	GFLOPS float64
+}
+
+// tile is the candidate as tuner.Before ranks it.
+func (c Candidate) tile() tuner.Candidate {
+	return tuner.Candidate{MR: c.MR, NR: c.NR, GFLOPS: c.GFLOPS, CMR: analytic.CMR(c.MR, c.NR)}
 }
 
 // SearchResult is one completed class search.
@@ -76,25 +80,9 @@ func kernelTag(mr, nr, kc int) string {
 // quantifies over are admissible, because Prove will demand membership.
 func Search(p *platform.Platform, elemBytes int, class telemetry.ShapeClass) SearchResult {
 	lanes := 16 / elemBytes
-	cfg := uarch.FromPlatform(p)
 	fam, _ := isacheck.FamilyByName(familyFor(elemBytes))
 
-	eval := func(mr, nr int) float64 {
-		if !analytic.Feasible(mr, nr, lanes, analytic.RegisterBudget) {
-			return 0
-		}
-		build := func(kc int) *isa.Program {
-			if kc%lanes != 0 {
-				kc += lanes - kc%lanes
-			}
-			return kernels.BuildMain(kernels.MainSpec{
-				Elem: elemBytes, MR: mr, NR: nr, KC: kc,
-				LDA: kc, LDB: nr, LDC: nr, Schedule: kernels.Pipelined,
-			})
-		}
-		cpi := uarch.SteadyStateCPI(build, cfg, 32, 64) // cycles per K step
-		return 2 * float64(mr) * float64(nr) / cpi * p.FreqGHz
-	}
+	eval := func(mr, nr int) float64 { return tuner.TileGFLOPS(p, elemBytes, mr, nr) }
 
 	// Panel depth: the deepest KC the family domain admits that does not
 	// exceed the platform's cache-derived blocking (it never does today —
@@ -128,17 +116,7 @@ func Search(p *platform.Platform, elemBytes int, class telemetry.ShapeClass) Sea
 		}
 	}
 	sort.Slice(r.Candidates, func(i, j int) bool {
-		a, b := r.Candidates[i], r.Candidates[j]
-		if a.GFLOPS != b.GFLOPS {
-			return a.GFLOPS > b.GFLOPS
-		}
-		if ca, cb := analytic.CMR(a.MR, a.NR), analytic.CMR(b.MR, b.NR); ca != cb {
-			return ca > cb
-		}
-		if a.NR != b.NR {
-			return a.NR > b.NR
-		}
-		return a.MR > b.MR
+		return tuner.Before(r.Candidates[i].tile(), r.Candidates[j].tile())
 	})
 
 	if ov, ok := guard.OverrideFor(elemBytes, uint8(class)); ok {

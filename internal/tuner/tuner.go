@@ -34,27 +34,49 @@ type Result struct {
 	Candidates []Candidate
 }
 
+// TileGFLOPS is the tile scorer shared by SearchTile and the online
+// autotuner: the modeled steady-state throughput of the pipelined main
+// micro-kernel with an mr×nr register tile on the platform, L1-resident
+// operands. A tile infeasible under Eq. 1 scores 0.
+func TileGFLOPS(p *platform.Platform, elemBytes, mr, nr int) float64 {
+	lanes := 16 / elemBytes
+	if !analytic.Feasible(mr, nr, lanes, analytic.RegisterBudget) {
+		return 0
+	}
+	build := func(kc int) *isa.Program {
+		if kc%lanes != 0 {
+			kc += lanes - kc%lanes
+		}
+		return kernels.BuildMain(kernels.MainSpec{
+			Elem: elemBytes, MR: mr, NR: nr, KC: kc,
+			LDA: kc, LDB: nr, LDC: nr, Schedule: kernels.Pipelined,
+		})
+	}
+	cpi := uarch.SteadyStateCPI(build, uarch.FromPlatform(p), 32, 64) // cycles per K step
+	return 2 * float64(mr) * float64(nr) / cpi * p.FreqGHz
+}
+
+// Before is the tile ordering shared by SearchTile and the online
+// autotuner: higher modeled throughput first, ties broken toward the
+// higher-CMR tile — the analytic objective acts as the secondary criterion
+// exactly as §5.2 motivates — then the wider NR, then the taller MR.
+func Before(a, b Candidate) bool {
+	if a.GFLOPS != b.GFLOPS {
+		return a.GFLOPS > b.GFLOPS
+	}
+	if a.CMR != b.CMR {
+		return a.CMR > b.CMR
+	}
+	if a.NR != b.NR {
+		return a.NR > b.NR
+	}
+	return a.MR > b.MR
+}
+
 // SearchTile evaluates every feasible register tile for the platform and
-// element size and returns the candidates sorted by modeled throughput
-// (descending), with ties broken toward the higher-CMR tile — the analytic
-// objective acts as the secondary criterion exactly as §5.2 motivates.
+// element size and returns the candidates sorted by Before.
 func SearchTile(p *platform.Platform, elemBytes int) Result {
 	lanes := 16 / elemBytes
-	cfg := uarch.FromPlatform(p)
-	eval := func(mr, nr int) float64 {
-		build := func(kc int) *isa.Program {
-			if kc%lanes != 0 {
-				kc += lanes - kc%lanes
-			}
-			return kernels.BuildMain(kernels.MainSpec{
-				Elem: elemBytes, MR: mr, NR: nr, KC: kc,
-				LDA: kc, LDB: nr, LDC: nr, Schedule: kernels.Pipelined,
-			})
-		}
-		cpi := uarch.SteadyStateCPI(build, cfg, 32, 64) // cycles per K step
-		return 2 * float64(mr) * float64(nr) / cpi * p.FreqGHz
-	}
-
 	var r Result
 	for mr := 1; mr <= 16; mr++ {
 		for nr := lanes; nr <= 16*lanes; nr += lanes {
@@ -62,26 +84,14 @@ func SearchTile(p *platform.Platform, elemBytes int) Result {
 				continue
 			}
 			r.Candidates = append(r.Candidates, Candidate{
-				MR: mr, NR: nr, GFLOPS: eval(mr, nr), CMR: analytic.CMR(mr, nr),
+				MR: mr, NR: nr, GFLOPS: TileGFLOPS(p, elemBytes, mr, nr), CMR: analytic.CMR(mr, nr),
 			})
 		}
 	}
-	sort.Slice(r.Candidates, func(i, j int) bool {
-		a, b := r.Candidates[i], r.Candidates[j]
-		if a.GFLOPS != b.GFLOPS {
-			return a.GFLOPS > b.GFLOPS
-		}
-		if a.CMR != b.CMR {
-			return a.CMR > b.CMR
-		}
-		if a.NR != b.NR {
-			return a.NR > b.NR
-		}
-		return a.MR > b.MR
-	})
+	sort.Slice(r.Candidates, func(i, j int) bool { return Before(r.Candidates[i], r.Candidates[j]) })
 	r.Best = r.Candidates[0]
 
 	at := analytic.SolveForElem(elemBytes)
-	r.Analytic = Candidate{MR: at.MR, NR: at.NR, GFLOPS: eval(at.MR, at.NR), CMR: at.CMR}
+	r.Analytic = Candidate{MR: at.MR, NR: at.NR, GFLOPS: TileGFLOPS(p, elemBytes, at.MR, at.NR), CMR: at.CMR}
 	return r
 }
