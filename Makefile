@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet staticlint race lint check fuzz test-chaos test-soak probe trace-smoke serve-smoke journal-smoke attrib-smoke router-smoke tune-smoke
+.PHONY: build test bench-test vet staticlint race lint check fuzz test-chaos test-soak probe trace-smoke serve-smoke journal-smoke attrib-smoke router-smoke tune-smoke
 
 build:
 	$(GO) build ./...
@@ -22,11 +22,22 @@ staticlint:
 test:
 	$(GO) test ./...
 
+# The benchmark under shalombench/ is a nested module, so the root
+# go test ./... does not see it; its tests (checker, seeds, metric names,
+# span join) and its build run here against the library in this checkout.
+bench-test:
+	cd shalombench && $(GO) test ./...
+
 # The concurrency-sensitive packages run again under the race detector:
-# the thread pool, the blocked GEMM driver that feeds it, and the serving
-# front end that coalesces concurrent requests onto the batch path.
+# the thread pool, the blocked GEMM driver that feeds it, the public API,
+# the breakers, the telemetry recorder and the engines that read it
+# concurrently (attribution, autotuning), the journal, and the serving
+# front end and router that coalesce concurrent requests onto the batch
+# path.
 race:
-	$(GO) test -race ./internal/parallel/... ./internal/core/... ./internal/heal/... ./internal/server/... ./internal/router/...
+	$(GO) test -race . ./internal/parallel/... ./internal/core/... ./internal/heal/... ./internal/guard/... \
+		./internal/telemetry/... ./internal/attrib/... ./internal/autotune/... ./internal/journal/... \
+		./internal/server/... ./internal/router/...
 
 # Fault-injection chaos suite: every injected fault (kernel panic, corrupt
 # packing buffer, slow worker, spurious NaN) must surface as a typed error
@@ -112,4 +123,4 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzAnalyze -fuzztime=10s ./internal/isa/
 
 # The CI gate.
-check: vet staticlint build test race test-chaos test-soak probe trace-smoke serve-smoke router-smoke journal-smoke attrib-smoke tune-smoke lint
+check: vet staticlint build test bench-test race test-chaos test-soak probe trace-smoke serve-smoke router-smoke journal-smoke attrib-smoke tune-smoke lint

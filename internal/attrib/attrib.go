@@ -27,8 +27,6 @@ package attrib
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -484,44 +482,38 @@ func (e *Engine) Windows() uint64 {
 	return e.windows
 }
 
-// WritePrometheus renders the engine's gauge family: per-key relative
-// efficiency, roofline efficiency, candidate score and hot share, plus the
-// global calibration factor. Counter-shaped series (drift events, windows)
-// are exposed by the telemetry snapshot, not here, so the combined
-// exposition never duplicates a series. Safe on nil (writes nothing).
-func (e *Engine) WritePrometheus(w io.Writer) error {
+// MetricFamilies is the engine's gauge family for /metrics: per-key
+// relative efficiency, roofline efficiency, candidate score and hot share,
+// plus the global calibration factor. Counter-shaped series (drift events,
+// windows) are exposed by the telemetry snapshot, not here, so the combined
+// exposition never duplicates a series. Safe on nil (no families).
+func (e *Engine) MetricFamilies() []telemetry.Family {
 	if e == nil {
 		return nil
 	}
 	rep := e.Report()
-	var b []byte
-	labels := func(c Candidate) string {
-		return fmt.Sprintf(`{precision=%q,mode=%q,shape_class=%q,kernel=%q}`,
-			c.Precision, c.Mode, c.ShapeClass, c.Kernel)
+	perKey := func(name, help string, v func(c Candidate) float64) telemetry.Family {
+		return telemetry.Family{Name: name, Help: help, Type: telemetry.Gauge,
+			Labels: []string{"precision", "mode", "shape_class", "kernel"},
+			Samples: func(yield func(telemetry.Sample)) {
+				for _, c := range rep.Candidates {
+					yield(telemetry.Sample{Labels: []string{c.Precision, c.Mode, c.ShapeClass, c.Kernel}, Value: v(c)})
+				}
+			}}
 	}
-	b = append(b, "# HELP libshalom_attrib_rel_efficiency Measured/predicted GFLOPS against calibrated par (1.0 = on model).\n"...)
-	b = append(b, "# TYPE libshalom_attrib_rel_efficiency gauge\n"...)
-	for _, c := range rep.Candidates {
-		b = append(b, fmt.Sprintf("libshalom_attrib_rel_efficiency%s %g\n", labels(c), c.RelEff)...)
+	return []telemetry.Family{
+		perKey("libshalom_attrib_rel_efficiency", "Measured/predicted GFLOPS against calibrated par (1.0 = on model).",
+			func(c Candidate) float64 { return c.RelEff }),
+		perKey("libshalom_attrib_roofline_efficiency", "Measured GFLOPS over the analytic roofline ceiling.",
+			func(c Candidate) float64 { return c.Efficiency }),
+		perKey("libshalom_attrib_candidate_score", "Tuning-candidate rank score: hot share times shortfall.",
+			func(c Candidate) float64 { return c.Score }),
+		perKey("libshalom_attrib_hot_share", "Key share of recent flops traffic.",
+			func(c Candidate) float64 { return c.HotShare }),
+		{Name: "libshalom_attrib_calibration", Type: telemetry.Gauge,
+			Help:    "Global host-scale calibration factor (measured/predicted par).",
+			Samples: func(yield func(telemetry.Sample)) { yield(telemetry.Sample{Value: rep.Calibration}) }},
 	}
-	b = append(b, "# HELP libshalom_attrib_roofline_efficiency Measured GFLOPS over the analytic roofline ceiling.\n"...)
-	b = append(b, "# TYPE libshalom_attrib_roofline_efficiency gauge\n"...)
-	for _, c := range rep.Candidates {
-		b = append(b, fmt.Sprintf("libshalom_attrib_roofline_efficiency%s %g\n", labels(c), c.Efficiency)...)
-	}
-	b = append(b, "# HELP libshalom_attrib_candidate_score Tuning-candidate rank score: hot share times shortfall.\n"...)
-	b = append(b, "# TYPE libshalom_attrib_candidate_score gauge\n"...)
-	for _, c := range rep.Candidates {
-		b = append(b, fmt.Sprintf("libshalom_attrib_candidate_score%s %g\n", labels(c), c.Score)...)
-	}
-	b = append(b, "# HELP libshalom_attrib_hot_share Key share of recent flops traffic.\n"...)
-	b = append(b, "# TYPE libshalom_attrib_hot_share gauge\n"...)
-	for _, c := range rep.Candidates {
-		b = append(b, fmt.Sprintf("libshalom_attrib_hot_share%s %g\n", labels(c), c.HotShare)...)
-	}
-	b = append(b, fmt.Sprintf("# HELP libshalom_attrib_calibration Global host-scale calibration factor (measured/predicted par).\n# TYPE libshalom_attrib_calibration gauge\nlibshalom_attrib_calibration %g\n", rep.Calibration)...)
-	_, err := w.Write(b)
-	return err
 }
 
 // Handler serves the report as JSON — the /attrib endpoint body.

@@ -51,7 +51,7 @@ func TestNilEngineIsDisabled(t *testing.T) {
 	if e.Feed() != nil || e.DriftTotal() != 0 || e.Windows() != 0 {
 		t.Fatal("nil engine returned live data")
 	}
-	if err := e.WritePrometheus(&strings.Builder{}); err != nil {
+	if err := telemetry.WriteFamilies(&strings.Builder{}, e.MetricFamilies()); err != nil {
 		t.Fatalf("nil WritePrometheus: %v", err)
 	}
 	if New(Config{}) != nil {
@@ -218,7 +218,7 @@ func TestReportAndPrometheusExposition(t *testing.T) {
 		t.Fatalf("candidate mode = %q, want NT", rep.Candidates[0].Mode)
 	}
 	var sb strings.Builder
-	if err := e.WritePrometheus(&sb); err != nil {
+	if err := telemetry.WriteFamilies(&sb, e.MetricFamilies()); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

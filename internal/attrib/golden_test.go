@@ -53,7 +53,7 @@ func goldenEngine(t *testing.T) *Engine {
 // The engine's gauge family over fixed accounts is pinned byte for byte.
 func TestExpositionGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := goldenEngine(t).WritePrometheus(&buf); err != nil {
+	if err := telemetry.WriteFamilies(&buf, goldenEngine(t).MetricFamilies()); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "exposition.golden", buf.Bytes())

@@ -302,7 +302,7 @@ func TestNilEngineIsInert(t *testing.T) {
 		t.Fatalf("nil engine /tune = %d, want 404", rr.Code)
 	}
 	var sb strings.Builder
-	if err := eng.WritePrometheus(&sb); err != nil || sb.Len() != 0 {
+	if err := telemetry.WriteFamilies(&sb, eng.MetricFamilies()); err != nil || sb.Len() != 0 {
 		t.Fatalf("nil engine exposition = %q, %v", sb.String(), err)
 	}
 }
@@ -330,7 +330,7 @@ func TestReportSurfaces(t *testing.T) {
 	}
 
 	var sb strings.Builder
-	if err := eng.WritePrometheus(&sb); err != nil {
+	if err := telemetry.WriteFamilies(&sb, eng.MetricFamilies()); err != nil {
 		t.Fatalf("exposition: %v", err)
 	}
 	expo := sb.String()

@@ -54,7 +54,7 @@ func goldenEngine() *Engine {
 // byte.
 func TestExpositionGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := goldenEngine().WritePrometheus(&buf); err != nil {
+	if err := telemetry.WriteFamilies(&buf, goldenEngine().MetricFamilies()); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "exposition.golden", buf.Bytes())

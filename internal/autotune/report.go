@@ -2,10 +2,10 @@ package autotune
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"time"
+
+	"libshalom/internal/telemetry"
 )
 
 // ClassReport is one class's row in the /tune report.
@@ -98,40 +98,38 @@ func (e *Engine) Handler() http.HandlerFunc {
 	}
 }
 
-// WritePrometheus appends the engine's per-class gauge family to a
-// /metrics exposition. Nil-safe: a nil engine writes nothing. The series
-// complement (never duplicate) the recorder's libshalom_autotune_events_total
-// counters and overrides gauge.
-func (e *Engine) WritePrometheus(w io.Writer) error {
+// MetricFamilies is the engine's per-class gauge family for /metrics.
+// Nil-safe: a nil engine has none. The series complement (never duplicate)
+// the recorder's libshalom_autotune_events_total counters and overrides
+// gauge.
+func (e *Engine) MetricFamilies() []telemetry.Family {
 	if e == nil {
 		return nil
 	}
 	rep := e.Report()
-	var b []byte
-	b = append(b, "# HELP libshalom_autotune_class_state Tuning lifecycle state per shape class (1 = current state).\n"...)
-	b = append(b, "# TYPE libshalom_autotune_class_state gauge\n"...)
-	for _, c := range rep.Classes {
-		b = append(b, fmt.Sprintf("libshalom_autotune_class_state{precision=%q,shape_class=%q,state=%q} 1\n",
-			c.Precision, c.ShapeClass, c.State)...)
+	tileGFLOPS := func(name, help string, tile func(c ClassReport) (kernel string, gflops float64)) telemetry.Family {
+		return telemetry.Family{Name: name, Help: help, Type: telemetry.Gauge,
+			Labels: []string{"precision", "shape_class", "kernel"},
+			Samples: func(yield func(telemetry.Sample)) {
+				for _, c := range rep.Classes {
+					if kernel, gf := tile(c); kernel != "" {
+						yield(telemetry.Sample{Labels: []string{c.Precision, c.ShapeClass, kernel}, Value: gf})
+					}
+				}
+			}}
 	}
-	b = append(b, "# HELP libshalom_autotune_class_candidate_gflops Modeled throughput of the class's tuned candidate.\n"...)
-	b = append(b, "# TYPE libshalom_autotune_class_candidate_gflops gauge\n"...)
-	for _, c := range rep.Classes {
-		if c.Kernel == "" {
-			continue
-		}
-		b = append(b, fmt.Sprintf("libshalom_autotune_class_candidate_gflops{precision=%q,shape_class=%q,kernel=%q} %g\n",
-			c.Precision, c.ShapeClass, c.Kernel, c.CandidateGFLOPS)...)
+	return []telemetry.Family{
+		{Name: "libshalom_autotune_class_state", Type: telemetry.Gauge,
+			Help:   "Tuning lifecycle state per shape class (1 = current state).",
+			Labels: []string{"precision", "shape_class", "state"},
+			Samples: func(yield func(telemetry.Sample)) {
+				for _, c := range rep.Classes {
+					yield(telemetry.Sample{Labels: []string{c.Precision, c.ShapeClass, c.State}, Value: 1})
+				}
+			}},
+		tileGFLOPS("libshalom_autotune_class_candidate_gflops", "Modeled throughput of the class's tuned candidate.",
+			func(c ClassReport) (string, float64) { return c.Kernel, c.CandidateGFLOPS }),
+		tileGFLOPS("libshalom_autotune_class_incumbent_gflops", "Modeled throughput of the tile the class was serving at search time.",
+			func(c ClassReport) (string, float64) { return c.IncumbentKernel, c.IncumbentGFLOPS }),
 	}
-	b = append(b, "# HELP libshalom_autotune_class_incumbent_gflops Modeled throughput of the tile the class was serving at search time.\n"...)
-	b = append(b, "# TYPE libshalom_autotune_class_incumbent_gflops gauge\n"...)
-	for _, c := range rep.Classes {
-		if c.IncumbentKernel == "" {
-			continue
-		}
-		b = append(b, fmt.Sprintf("libshalom_autotune_class_incumbent_gflops{precision=%q,shape_class=%q,kernel=%q} %g\n",
-			c.Precision, c.ShapeClass, c.IncumbentKernel, c.IncumbentGFLOPS)...)
-	}
-	_, err := w.Write(b)
-	return err
 }

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"libshalom/internal/telemetry"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
@@ -48,6 +50,8 @@ func goldenRouter(t *testing.T) *Router {
 // The per-backend series over fixed books are pinned byte for byte.
 func TestExpositionGolden(t *testing.T) {
 	var buf bytes.Buffer
-	goldenRouter(t).writeBackendMetrics(&buf)
+	if err := telemetry.WriteFamilies(&buf, goldenRouter(t).backendFamilies()); err != nil {
+		t.Fatal(err)
+	}
 	checkGolden(t, "exposition.golden", buf.Bytes())
 }

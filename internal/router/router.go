@@ -30,6 +30,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -184,13 +185,24 @@ func New(cfg Config) (*Router, error) {
 		base:   base,
 	}
 	for i, raw := range cfg.Backends {
-		u := strings.TrimSuffix(strings.TrimSpace(raw), "/")
+		u := strings.TrimSpace(raw)
 		if u == "" {
 			return nil, fmt.Errorf("router: empty backend URL at index %d", i)
 		}
 		if !strings.Contains(u, "://") {
 			u = "http://" + u
 		}
+		// The URL is the backend's identity in /healthz and a label value
+		// in /metrics: url.Parse refuses control characters and malformed
+		// hosts, and a backend without a host cannot be dialled.
+		pu, err := url.Parse(u)
+		if err != nil {
+			return nil, fmt.Errorf("router: backend URL at index %d: %w", i, err)
+		}
+		if pu.Host == "" {
+			return nil, fmt.Errorf("router: backend URL %q at index %d has no host", raw, i)
+		}
+		u = strings.TrimSuffix(u, "/")
 		// Backends start healthy and ready: the fleet serves from the first
 		// request, and the first probe tick corrects any that are not.
 		rt.backends = append(rt.backends, &backend{index: i, id: u, state: StateHealthy, ready: true})
@@ -201,10 +213,7 @@ func New(cfg Config) (*Router, error) {
 	rt.mux.HandleFunc("/readyz", rt.handleReady)
 	if rt.tel.Enabled() {
 		h := rt.tel.Handler()
-		rt.mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			h.ServeHTTP(w, r)
-			rt.writeBackendMetrics(w)
-		})
+		rt.mux.Handle("/metrics", telemetry.MetricsHandler(rt.tel, rt.backendFamilies))
 		rt.mux.Handle("/snapshot", h)
 		rt.mux.Handle("/trace", h)
 	}
@@ -809,32 +818,44 @@ func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// writeBackendMetrics appends the per-backend series to /metrics — the
-// labeled view the aggregate router families summarize. Series names are
-// disjoint from the Recorder's by construction.
-func (rt *Router) writeBackendMetrics(w io.Writer) {
-	fmt.Fprintf(w, "# HELP libshalom_router_backend_up Backend eligibility: 1 routed-to, 0 out of rotation.\n")
-	fmt.Fprintf(w, "# TYPE libshalom_router_backend_up gauge\n")
-	for _, b := range rt.backends {
-		h := b.health()
-		up := 0
-		if h.State == "healthy" && h.Ready {
-			up = 1
-		}
-		fmt.Fprintf(w, "libshalom_router_backend_up{backend=%q,state=%q} %d\n", h.URL, h.State, up)
+// backendFamilies are the per-backend series of /metrics — the labeled
+// view the aggregate router families summarize. Series names are disjoint
+// from the Recorder's by construction.
+func (rt *Router) backendFamilies() []telemetry.Family {
+	hs := make([]BackendHealth, len(rt.backends))
+	for i, b := range rt.backends {
+		hs[i] = b.health()
 	}
-	fmt.Fprintf(w, "# HELP libshalom_router_backend_requests_total Per-backend request outcomes observed by the router.\n")
-	fmt.Fprintf(w, "# TYPE libshalom_router_backend_requests_total counter\n")
-	for _, b := range rt.backends {
-		h := b.health()
-		fmt.Fprintf(w, "libshalom_router_backend_requests_total{backend=%q,outcome=\"ok\"} %d\n", h.URL, h.Routed)
-		fmt.Fprintf(w, "libshalom_router_backend_requests_total{backend=%q,outcome=\"failure\"} %d\n", h.URL, h.Failures)
-		fmt.Fprintf(w, "libshalom_router_backend_requests_total{backend=%q,outcome=\"shed\"} %d\n", h.URL, h.Sheds)
-	}
-	fmt.Fprintf(w, "# HELP libshalom_router_backend_trips_total Ejection trips per backend.\n")
-	fmt.Fprintf(w, "# TYPE libshalom_router_backend_trips_total counter\n")
-	for _, b := range rt.backends {
-		h := b.health()
-		fmt.Fprintf(w, "libshalom_router_backend_trips_total{backend=%q} %d\n", h.URL, h.Trips)
+	return []telemetry.Family{
+		{Name: "libshalom_router_backend_up", Type: telemetry.Gauge,
+			Help:   "Backend eligibility: 1 routed-to, 0 out of rotation.",
+			Labels: []string{"backend", "state"},
+			Samples: func(yield func(telemetry.Sample)) {
+				for _, h := range hs {
+					up := 0.0
+					if h.State == "healthy" && h.Ready {
+						up = 1
+					}
+					yield(telemetry.Sample{Labels: []string{h.URL, h.State}, Value: up})
+				}
+			}},
+		{Name: "libshalom_router_backend_requests_total", Type: telemetry.Counter,
+			Help:   "Per-backend request outcomes observed by the router.",
+			Labels: []string{"backend", "outcome"},
+			Samples: func(yield func(telemetry.Sample)) {
+				for _, h := range hs {
+					yield(telemetry.Sample{Labels: []string{h.URL, "ok"}, Value: float64(h.Routed)})
+					yield(telemetry.Sample{Labels: []string{h.URL, "failure"}, Value: float64(h.Failures)})
+					yield(telemetry.Sample{Labels: []string{h.URL, "shed"}, Value: float64(h.Sheds)})
+				}
+			}},
+		{Name: "libshalom_router_backend_trips_total", Type: telemetry.Counter,
+			Help:   "Ejection trips per backend.",
+			Labels: []string{"backend"},
+			Samples: func(yield func(telemetry.Sample)) {
+				for _, h := range hs {
+					yield(telemetry.Sample{Labels: []string{h.URL}, Value: float64(h.Trips)})
+				}
+			}},
 	}
 }

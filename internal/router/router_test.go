@@ -109,6 +109,35 @@ func do(rt *Router, req *http.Request) *httptest.ResponseRecorder {
 // Rendezvous preference must be a permutation, deterministic, and stable
 // under node removal: dropping one backend leaves every other class's owner
 // unchanged.
+// Backend URLs come from outside the program and end up as /healthz
+// identities and /metrics label values: New accepts host URLs (with or
+// without a scheme) and refuses empty, hostless and control-character ones.
+func TestNewValidatesBackendURLs(t *testing.T) {
+	for _, tc := range []struct {
+		url string
+		ok  bool
+	}{
+		{"http://10.0.0.1:8080", true},
+		{"10.0.0.1:8080", true},
+		{"https://backend.example:8443/", true},
+		{"", false},
+		{"http://a\tb:1", false},
+		{"http://a\nb:1", false},
+		{"a\x7fb:1", false},
+		{"http://", false},
+		{"http:///v1", false},
+		{"://a:1", false},
+	} {
+		rt, err := New(Config{Backends: []string{tc.url}})
+		if (err == nil) != tc.ok {
+			t.Errorf("New(%q): err = %v, want ok = %t", tc.url, err, tc.ok)
+		}
+		if rt != nil {
+			rt.Close()
+		}
+	}
+}
+
 func TestRendezvousStableUnderRemoval(t *testing.T) {
 	mk := func(ids ...string) []*backend {
 		var out []*backend

@@ -169,15 +169,11 @@ func New(lib *libshalom.Context, cfg Config) *Server {
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/readyz", s.handleReady)
 	if h, ok := lib.TelemetryHandler(); ok {
-		// /metrics concatenates the recorder's exposition (driver counters,
-		// the attribution sketch, runtime gauges) with the engine's gauge
-		// family; the series names are disjoint by construction, so the
-		// combined page never duplicates a series.
-		s.mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			h.ServeHTTP(w, r)
-			_ = cfg.Attrib.WritePrometheus(w)   // nil-safe: writes nothing when attribution is off
-			_ = cfg.Autotune.WritePrometheus(w) // nil-safe: writes nothing when autotuning is off
-		})
+		// /metrics renders the recorder's families (driver counters, the
+		// attribution sketch, runtime gauges) and the engines' gauge
+		// families; a disabled (nil) engine has none, and the series names
+		// are disjoint by construction.
+		s.mux.Handle("/metrics", telemetry.MetricsHandler(s.tel, cfg.Attrib.MetricFamilies, cfg.Autotune.MetricFamilies))
 		s.mux.Handle("/snapshot", h)
 		s.mux.Handle("/trace", h)
 	}

@@ -68,7 +68,7 @@ func goldenSnapshot() Snapshot {
 	s.Server.BatchSizeBuckets[1] = 8 // size 1
 	s.Server.BatchSizeBuckets[2] = 3 // size 2 or 3
 	s.Server.BatchSizeBuckets[NumBatchSizeBuckets-1] = 1
-	s.Server.QueueWaitBuckets[0] = 2  // 0 ns
+	s.Server.QueueWaitBuckets[0] = 2   // 0 ns
 	s.Server.QueueWaitBuckets[14] = 16 // [8192, 16384) ns
 	s.Server.QueueWaitBuckets[NumLatencyBuckets-1] = 1
 	s.Router = RouterStats{Forwarded: 30, Attempts: 34, Retries: 3, Hedges: 1, Shed: 2, Errors: 1, Rejected: 1,
@@ -86,10 +86,7 @@ var runtimeValue = regexp.MustCompile(`(?m)^(libshalom_go_[a-z0-9_]+) .*$`)
 // is pinned byte for byte.
 func TestExpositionGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := goldenSnapshot().WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteRuntimeMetrics(&buf); err != nil {
+	if err := WriteFamilies(&buf, append(goldenSnapshot().families(), runtimeFamilies()...)); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "exposition.golden", runtimeValue.ReplaceAll(buf.Bytes(), []byte("$1 <masked>")))

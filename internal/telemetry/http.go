@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"expvar"
 	"net/http"
 )
 
@@ -17,11 +18,7 @@ import (
 // allows; the library never opens a listener itself.
 func (r *Recorder) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		_ = r.Snapshot().WritePrometheus(w)
-		_ = WriteRuntimeMetrics(w) // sampled here, on scrape, never per call
-	})
+	mux.Handle("/metrics", MetricsHandler(r))
 	mux.HandleFunc("/snapshot", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(r.Snapshot())
@@ -33,4 +30,11 @@ func (r *Recorder) Handler() http.Handler {
 		}
 	})
 	return mux
+}
+
+// PublishExpvar publishes the recorder under the given expvar name; the
+// standard /debug/vars endpoint then serves the live Snapshot as JSON.
+// expvar panics on duplicate names, so publish once per process per name.
+func PublishExpvar(name string, r *Recorder) {
+	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }

@@ -1,17 +1,14 @@
 package telemetry
 
-import (
-	"io"
-	"runtime/metrics"
-)
+import "runtime/metrics"
 
 // Go runtime gauges for the Prometheus exposition: the handful a serving
 // dashboard actually needs (heap footprint, GC pause tail, goroutine count,
 // GOMAXPROCS). Sampled only when a scrape happens — runtime/metrics reads
 // are cheap but not free, and nothing here may touch the GEMM hot path.
 
-// runtimeSamples is the fixed sample set, allocated once; metrics.Read
-// fills values in place.
+// runtimeSamples is the fixed sample set, in runtimeFamilies' row order;
+// each scrape reads a copy.
 var runtimeSamples = []metrics.Sample{
 	{Name: "/memory/classes/heap/objects:bytes"},
 	{Name: "/memory/classes/total:bytes"},
@@ -20,33 +17,19 @@ var runtimeSamples = []metrics.Sample{
 	{Name: "/sched/gomaxprocs:threads"},
 }
 
-// WriteRuntimeMetrics renders the Go runtime gauges in Prometheus text
-// format. It samples runtime/metrics at call time, so the cost is paid per
-// scrape, never per GEMM.
-func WriteRuntimeMetrics(w io.Writer) error {
+// runtimeFamilies samples runtime/metrics at call time, so the cost is
+// paid per scrape, never per GEMM.
+func runtimeFamilies() []Family {
 	samples := make([]metrics.Sample, len(runtimeSamples))
 	copy(samples, runtimeSamples)
 	metrics.Read(samples)
-
-	bw := &errWriter{w: w}
-	gauge := func(name, help string, v float64) {
-		bw.printf("# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
+	return []Family{
+		scalar("libshalom_go_heap_objects_bytes", Gauge, "Bytes of live heap objects (runtime/metrics).", sampleFloat(samples[0])),
+		scalar("libshalom_go_memory_total_bytes", Gauge, "Total bytes of memory mapped by the Go runtime.", sampleFloat(samples[1])),
+		scalar("libshalom_go_gc_pause_p99_seconds", Gauge, "p99 stop-the-world GC pause (runtime/metrics histogram).", histQuantile(samples[2], 0.99)),
+		scalar("libshalom_go_goroutines", Gauge, "Live goroutine count.", sampleFloat(samples[3])),
+		scalar("libshalom_go_gomaxprocs", Gauge, "GOMAXPROCS at scrape time.", sampleFloat(samples[4])),
 	}
-	for _, s := range samples {
-		switch s.Name {
-		case "/memory/classes/heap/objects:bytes":
-			gauge("libshalom_go_heap_objects_bytes", "Bytes of live heap objects (runtime/metrics).", sampleFloat(s))
-		case "/memory/classes/total:bytes":
-			gauge("libshalom_go_memory_total_bytes", "Total bytes of memory mapped by the Go runtime.", sampleFloat(s))
-		case "/gc/pauses:seconds":
-			gauge("libshalom_go_gc_pause_p99_seconds", "p99 stop-the-world GC pause (runtime/metrics histogram).", histQuantile(s, 0.99))
-		case "/sched/goroutines:goroutines":
-			gauge("libshalom_go_goroutines", "Live goroutine count.", sampleFloat(s))
-		case "/sched/gomaxprocs:threads":
-			gauge("libshalom_go_gomaxprocs", "GOMAXPROCS at scrape time.", sampleFloat(s))
-		}
-	}
-	return bw.err
 }
 
 // sampleFloat converts a scalar runtime/metrics sample to float64; unknown
