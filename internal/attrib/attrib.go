@@ -493,13 +493,11 @@ func (e *Engine) MetricFamilies() []telemetry.Family {
 	}
 	rep := e.Report()
 	perKey := func(name, help string, v func(c Candidate) float64) telemetry.Family {
-		return telemetry.Family{Name: name, Help: help, Type: telemetry.Gauge,
+		return telemetry.Family{Name: name, Help: help, Type: "gauge",
 			Labels: []string{"precision", "mode", "shape_class", "kernel"},
-			Samples: func(yield func(telemetry.Sample)) {
-				for _, c := range rep.Candidates {
-					yield(telemetry.Sample{Labels: []string{c.Precision, c.Mode, c.ShapeClass, c.Kernel}, Value: v(c)})
-				}
-			}}
+			Samples: telemetry.Each(rep.Candidates, func(c Candidate) telemetry.Sample {
+				return telemetry.Sample{Labels: []string{c.Precision, c.Mode, c.ShapeClass, c.Kernel}, Value: v(c)}
+			})}
 	}
 	return []telemetry.Family{
 		perKey("libshalom_attrib_rel_efficiency", "Measured/predicted GFLOPS against calibrated par (1.0 = on model).",
@@ -510,7 +508,7 @@ func (e *Engine) MetricFamilies() []telemetry.Family {
 			func(c Candidate) float64 { return c.Score }),
 		perKey("libshalom_attrib_hot_share", "Key share of recent flops traffic.",
 			func(c Candidate) float64 { return c.HotShare }),
-		{Name: "libshalom_attrib_calibration", Type: telemetry.Gauge,
+		{Name: "libshalom_attrib_calibration", Type: "gauge",
 			Help:    "Global host-scale calibration factor (measured/predicted par).",
 			Samples: func(yield func(telemetry.Sample)) { yield(telemetry.Sample{Value: rep.Calibration}) }},
 	}

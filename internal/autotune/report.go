@@ -108,7 +108,7 @@ func (e *Engine) MetricFamilies() []telemetry.Family {
 	}
 	rep := e.Report()
 	tileGFLOPS := func(name, help string, tile func(c ClassReport) (kernel string, gflops float64)) telemetry.Family {
-		return telemetry.Family{Name: name, Help: help, Type: telemetry.Gauge,
+		return telemetry.Family{Name: name, Help: help, Type: "gauge",
 			Labels: []string{"precision", "shape_class", "kernel"},
 			Samples: func(yield func(telemetry.Sample)) {
 				for _, c := range rep.Classes {
@@ -119,14 +119,12 @@ func (e *Engine) MetricFamilies() []telemetry.Family {
 			}}
 	}
 	return []telemetry.Family{
-		{Name: "libshalom_autotune_class_state", Type: telemetry.Gauge,
+		{Name: "libshalom_autotune_class_state", Type: "gauge",
 			Help:   "Tuning lifecycle state per shape class (1 = current state).",
 			Labels: []string{"precision", "shape_class", "state"},
-			Samples: func(yield func(telemetry.Sample)) {
-				for _, c := range rep.Classes {
-					yield(telemetry.Sample{Labels: []string{c.Precision, c.ShapeClass, c.State}, Value: 1})
-				}
-			}},
+			Samples: telemetry.Each(rep.Classes, func(c ClassReport) telemetry.Sample {
+				return telemetry.Sample{Labels: []string{c.Precision, c.ShapeClass, c.State}, Value: 1}
+			})},
 		tileGFLOPS("libshalom_autotune_class_candidate_gflops", "Modeled throughput of the class's tuned candidate.",
 			func(c ClassReport) (string, float64) { return c.Kernel, c.CandidateGFLOPS }),
 		tileGFLOPS("libshalom_autotune_class_incumbent_gflops", "Modeled throughput of the tile the class was serving at search time.",

@@ -3,7 +3,7 @@ package autotune
 import (
 	"fmt"
 	"math/rand/v2"
-	"sort"
+	"slices"
 
 	"libshalom/internal/analytic"
 	"libshalom/internal/guard"
@@ -27,7 +27,7 @@ type Candidate struct {
 	GFLOPS float64
 }
 
-// tile is the candidate as tuner.Before ranks it.
+// tile is the candidate as tuner.Compare ranks it.
 func (c Candidate) tile() tuner.Candidate {
 	return tuner.Candidate{MR: c.MR, NR: c.NR, GFLOPS: c.GFLOPS, CMR: analytic.CMR(c.MR, c.NR)}
 }
@@ -82,8 +82,6 @@ func Search(p *platform.Platform, elemBytes int, class telemetry.ShapeClass) Sea
 	lanes := 16 / elemBytes
 	fam, _ := isacheck.FamilyByName(familyFor(elemBytes))
 
-	eval := func(mr, nr int) float64 { return tuner.TileGFLOPS(p, elemBytes, mr, nr) }
-
 	// Panel depth: the deepest KC the family domain admits that does not
 	// exceed the platform's cache-derived blocking (it never does today —
 	// analytic KC floors at 32, the domains top out at 16 — but the clamp
@@ -111,26 +109,24 @@ func Search(p *platform.Platform, elemBytes int, class telemetry.ShapeClass) Sea
 			r.Candidates = append(r.Candidates, Candidate{
 				MR: mr, NR: nr, KC: kc,
 				Kernel: kernelTag(mr, nr, kc),
-				GFLOPS: eval(mr, nr),
+				GFLOPS: tuner.TileGFLOPS(p, elemBytes, mr, nr),
 			})
 		}
 	}
-	sort.Slice(r.Candidates, func(i, j int) bool {
-		return tuner.Before(r.Candidates[i].tile(), r.Candidates[j].tile())
-	})
+	slices.SortFunc(r.Candidates, func(a, b Candidate) int { return tuner.Compare(a.tile(), b.tile()) })
 
 	if ov, ok := guard.OverrideFor(elemBytes, uint8(class)); ok {
 		r.Incumbent = Candidate{
 			MR: ov.MR, NR: ov.NR, KC: ov.KC,
 			Kernel: ov.Kernel,
-			GFLOPS: eval(ov.MR, ov.NR),
+			GFLOPS: tuner.TileGFLOPS(p, elemBytes, ov.MR, ov.NR),
 		}
 	} else {
 		at := analytic.SolveForElem(elemBytes)
 		r.Incumbent = Candidate{
 			MR: at.MR, NR: at.NR, KC: blk.KC,
 			Kernel: fmt.Sprintf("analytic-%dx%d", at.MR, at.NR),
-			GFLOPS: eval(at.MR, at.NR),
+			GFLOPS: tuner.TileGFLOPS(p, elemBytes, at.MR, at.NR),
 		}
 	}
 	return r

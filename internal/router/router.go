@@ -192,15 +192,9 @@ func New(cfg Config) (*Router, error) {
 		if !strings.Contains(u, "://") {
 			u = "http://" + u
 		}
-		// The URL is the backend's identity in /healthz and a label value
-		// in /metrics: url.Parse refuses control characters and malformed
-		// hosts, and a backend without a host cannot be dialled.
-		pu, err := url.Parse(u)
-		if err != nil {
-			return nil, fmt.Errorf("router: backend URL at index %d: %w", i, err)
-		}
-		if pu.Host == "" {
-			return nil, fmt.Errorf("router: backend URL %q at index %d has no host", raw, i)
+		// url.Parse refuses control characters: the URL is a /metrics label.
+		if pu, err := url.Parse(u); err != nil || pu.Host == "" {
+			return nil, fmt.Errorf("router: backend URL %q at index %d is not a host URL", raw, i)
 		}
 		u = strings.TrimSuffix(u, "/")
 		// Backends start healthy and ready: the fleet serves from the first
@@ -822,40 +816,34 @@ func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 // view the aggregate router families summarize. Series names are disjoint
 // from the Recorder's by construction.
 func (rt *Router) backendFamilies() []telemetry.Family {
-	hs := make([]BackendHealth, len(rt.backends))
-	for i, b := range rt.backends {
-		hs[i] = b.health()
-	}
 	return []telemetry.Family{
-		{Name: "libshalom_router_backend_up", Type: telemetry.Gauge,
+		{Name: "libshalom_router_backend_up", Type: "gauge",
 			Help:   "Backend eligibility: 1 routed-to, 0 out of rotation.",
 			Labels: []string{"backend", "state"},
-			Samples: func(yield func(telemetry.Sample)) {
-				for _, h := range hs {
-					up := 0.0
-					if h.State == "healthy" && h.Ready {
-						up = 1
-					}
-					yield(telemetry.Sample{Labels: []string{h.URL, h.State}, Value: up})
+			Samples: telemetry.Each(rt.backends, func(b *backend) telemetry.Sample {
+				h, up := b.health(), 0.0
+				if h.State == "healthy" && h.Ready {
+					up = 1
 				}
-			}},
-		{Name: "libshalom_router_backend_requests_total", Type: telemetry.Counter,
+				return telemetry.Sample{Labels: []string{h.URL, h.State}, Value: up}
+			})},
+		{Name: "libshalom_router_backend_requests_total", Type: "counter",
 			Help:   "Per-backend request outcomes observed by the router.",
 			Labels: []string{"backend", "outcome"},
 			Samples: func(yield func(telemetry.Sample)) {
-				for _, h := range hs {
+				for _, b := range rt.backends {
+					h := b.health()
 					yield(telemetry.Sample{Labels: []string{h.URL, "ok"}, Value: float64(h.Routed)})
 					yield(telemetry.Sample{Labels: []string{h.URL, "failure"}, Value: float64(h.Failures)})
 					yield(telemetry.Sample{Labels: []string{h.URL, "shed"}, Value: float64(h.Sheds)})
 				}
 			}},
-		{Name: "libshalom_router_backend_trips_total", Type: telemetry.Counter,
+		{Name: "libshalom_router_backend_trips_total", Type: "counter",
 			Help:   "Ejection trips per backend.",
 			Labels: []string{"backend"},
-			Samples: func(yield func(telemetry.Sample)) {
-				for _, h := range hs {
-					yield(telemetry.Sample{Labels: []string{h.URL}, Value: float64(h.Trips)})
-				}
-			}},
+			Samples: telemetry.Each(rt.backends, func(b *backend) telemetry.Sample {
+				h := b.health()
+				return telemetry.Sample{Labels: []string{h.URL}, Value: float64(h.Trips)}
+			})},
 	}
 }

@@ -169,10 +169,8 @@ func New(lib *libshalom.Context, cfg Config) *Server {
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/readyz", s.handleReady)
 	if h, ok := lib.TelemetryHandler(); ok {
-		// /metrics renders the recorder's families (driver counters, the
-		// attribution sketch, runtime gauges) and the engines' gauge
-		// families; a disabled (nil) engine has none, and the series names
-		// are disjoint by construction.
+		// A disabled (nil) engine has no families; series names are
+		// disjoint by construction.
 		s.mux.Handle("/metrics", telemetry.MetricsHandler(s.tel, cfg.Attrib.MetricFamilies, cfg.Autotune.MetricFamilies))
 		s.mux.Handle("/snapshot", h)
 		s.mux.Handle("/trace", h)

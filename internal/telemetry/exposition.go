@@ -8,41 +8,25 @@ import (
 	"strings"
 )
 
-// The /metrics exposition is one table of metric families rendered by one
-// writer in the Prometheus text format (version 0.0.4). The recorder's
-// snapshot, the Go runtime gauges and every engine that exports metrics
-// (attribution, autotuning, the router's per-backend view) supply rows;
-// none of them formats text. Adding a metric is adding a row.
-
-// MetricType is a family's Prometheus type.
-type MetricType string
-
-// The family types the writer renders.
-const (
-	Counter   MetricType = "counter"
-	Gauge     MetricType = "gauge"
-	Histogram MetricType = "histogram"
-)
+// The /metrics exposition is one table of metric families, rendered by one
+// writer in the Prometheus text format (version 0.0.4). Sources supply rows
+// and never format text; adding a metric is adding a row.
 
 // Family is one row of the /metrics table.
 type Family struct {
-	Name string
-	Help string
-	Type MetricType
-	// Labels are the label names; every sample carries its values in this
-	// order.
-	Labels []string
-	// Samples yields the family's samples. A family that yields none is
-	// left out of the exposition.
+	Name   string
+	Help   string
+	Type   string   // "counter", "gauge" or "histogram"
+	Labels []string // label names; every sample carries values in this order
+	// Samples yields the family's samples; a family without any is omitted.
 	Samples func(yield func(Sample))
 
 	// Histogram families only. A sample's Counts[i] holds raw values v with
-	// 2^(i-1) <= v < 2^i (bucketLog2), and the last bucket also holds every
-	// larger value. Scale converts raw values to the exposed unit
-	// (exposed = raw / Scale). Continuous marks a real-valued quantity
-	// truncated to whole raw units for bucketing, so bucket i holds values
-	// below 2^i; otherwise the raw value is an integer and bucket i ends at
-	// 2^i − 1 inclusive. NoSum marks a quantity whose sum is not recorded.
+	// 2^(i-1) <= v < 2^i (bucketLog2), the last bucket also every larger
+	// one; exposed value = raw / Scale. Continuous marks a real quantity
+	// truncated to whole raw units for bucketing (bucket i holds values
+	// below 2^i); otherwise raw values are integers and bucket i ends at
+	// 2^i − 1. NoSum marks a quantity whose sum is not recorded.
 	Scale      float64
 	Continuous bool
 	NoSum      bool
@@ -56,24 +40,28 @@ type Sample struct {
 	Sum    float64  // histogram families: sum in the exposed unit
 }
 
+// Each yields one sample per element of xs.
+func Each[T any](xs []T, sample func(T) Sample) func(yield func(Sample)) {
+	return func(yield func(Sample)) {
+		for _, x := range xs {
+			yield(sample(x))
+		}
+	}
+}
+
 // WriteFamilies renders the families in table order.
 func WriteFamilies(w io.Writer, fams []Family) error {
 	var b []byte
-	var samples []Sample
 	for _, f := range fams {
-		samples = samples[:0]
-		f.Samples(func(s Sample) { samples = append(samples, s) })
-		if len(samples) == 0 {
-			continue
-		}
-		b = append(b, "# HELP "+f.Name+" "+f.Help+"\n# TYPE "+f.Name+" "+string(f.Type)+"\n"...)
-		for _, s := range samples {
-			if f.Type == Histogram {
+		header := "# HELP " + f.Name + " " + f.Help + "\n# TYPE " + f.Name + " " + f.Type + "\n"
+		f.Samples(func(s Sample) {
+			b, header = append(b, header...), "" // only a family with samples gets one
+			if f.Type == "histogram" {
 				b = appendHistogram(b, &f, s)
 			} else {
 				b = appendSeries(b, f.Name, f.Labels, s.Labels, s.Value)
 			}
-		}
+		})
 	}
 	_, err := w.Write(b)
 	return err
@@ -114,13 +102,10 @@ var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 // appendSeries appends one sample line.
 func appendSeries(b []byte, name string, names, values []string, v float64) []byte {
 	b = append(b, name...)
+	sep := "{"
 	for i, l := range names {
-		if i == 0 {
-			b = append(b, '{')
-		} else {
-			b = append(b, ',')
-		}
-		b = append(b, l+`="`+labelEscaper.Replace(values[i])+`"`...)
+		b = append(b, sep+l+`="`+labelEscaper.Replace(values[i])+`"`...)
+		sep = ","
 	}
 	if len(names) > 0 {
 		b = append(b, '}')
@@ -159,101 +144,95 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 }
 
 // scalar is a family with one unlabeled sample.
-func scalar(name string, typ MetricType, help string, v float64) Family {
+func scalar(name, typ, help string, v float64) Family {
 	return Family{Name: name, Help: help, Type: typ, Samples: func(yield func(Sample)) { yield(Sample{Value: v}) }}
 }
 
 // events is a counter family over named events, one label naming the event.
 func events(name, help, label string, evs []EventCount) Family {
-	return Family{Name: name, Help: help, Type: Counter, Labels: []string{label},
-		Samples: func(yield func(Sample)) {
-			for _, e := range evs {
-				yield(Sample{Labels: []string{e.Name}, Value: float64(e.Count)})
-			}
-		}}
+	return Family{Name: name, Help: help, Type: "counter", Labels: []string{label},
+		Samples: Each(evs, func(e EventCount) Sample { return Sample{Labels: []string{e.Name}, Value: float64(e.Count)} })}
 }
 
 var callLabels = []string{"precision", "mode", "shape_class", "kernel", "outcome"}
+
+func (c CallStat) labelValues() []string {
+	return []string{c.Precision, c.Mode, c.ShapeClass, c.Kernel, c.Outcome}
+}
+
+func (a AttribStat) labelValues() []string {
+	return []string{a.Precision, a.Mode, a.ShapeClass, a.Kernel}
+}
 
 // families is the snapshot's table: call counters and histograms, pool and
 // thread-policy state, event counters, and the serving, router, autotune
 // and journal sections once they have recorded anything.
 func (s Snapshot) families() []Family {
-	calls := func(sample func(c *CallStat) Sample) func(func(Sample)) {
-		return func(yield func(Sample)) {
-			for i := range s.Calls {
-				c := &s.Calls[i]
-				smp := sample(c)
-				smp.Labels = []string{c.Precision, c.Mode, c.ShapeClass, c.Kernel, c.Outcome}
-				yield(smp)
-			}
-		}
-	}
 	fams := []Family{
-		{Name: "libshalom_gemm_calls_total", Type: Counter, Labels: callLabels,
-			Help:    "GEMM calls by precision, mode, shape class, kernel path and outcome.",
-			Samples: calls(func(c *CallStat) Sample { return Sample{Value: float64(c.Count)} })},
-		{Name: "libshalom_gemm_latency_seconds", Type: Histogram, Labels: callLabels, Scale: 1e9,
-			Help: "GEMM call latency, log2-bucketed.",
-			Samples: calls(func(c *CallStat) Sample {
-				return Sample{Counts: c.LatencyBuckets[:], Sum: float64(c.DurNs) / 1e9}
+		{Name: "libshalom_gemm_calls_total", Type: "counter", Labels: callLabels,
+			Help: "GEMM calls by precision, mode, shape class, kernel path and outcome.",
+			Samples: Each(s.Calls, func(c CallStat) Sample {
+				return Sample{Labels: c.labelValues(), Value: float64(c.Count)}
 			})},
-		{Name: "libshalom_gemm_gflops", Type: Histogram, Labels: callLabels, Scale: 4, Continuous: true,
+		{Name: "libshalom_gemm_latency_seconds", Type: "histogram", Labels: callLabels, Scale: 1e9,
+			Help: "GEMM call latency, log2-bucketed.",
+			Samples: Each(s.Calls, func(c CallStat) Sample {
+				return Sample{Labels: c.labelValues(), Counts: c.LatencyBuckets[:], Sum: float64(c.DurNs) / 1e9}
+			})},
+		{Name: "libshalom_gemm_gflops", Type: "histogram", Labels: callLabels, Scale: 4, Continuous: true,
 			Help: "Achieved GFLOPS per call, log2-bucketed on quarter-GFLOPS.",
-			Samples: calls(func(c *CallStat) Sample {
+			Samples: Each(s.Calls, func(c CallStat) Sample {
 				var n uint64
 				for _, b := range c.GFLOPSBuckets {
 					n += b
 				}
-				return Sample{Counts: c.GFLOPSBuckets[:], Sum: c.MeanGFLOPS() * float64(n)}
+				return Sample{Labels: c.labelValues(), Counts: c.GFLOPSBuckets[:], Sum: c.MeanGFLOPS() * float64(n)}
 			})},
-		scalar("libshalom_pool_tasks_queued_total", Counter, "Tasks submitted to the worker pool.", float64(s.Pool.TasksQueued)),
-		scalar("libshalom_pool_tasks_started_total", Counter, "Tasks begun by pool workers.", float64(s.Pool.TasksStarted)),
-		scalar("libshalom_pool_tasks_done_total", Counter, "Tasks completed by pool workers.", float64(s.Pool.TasksDone)),
-		scalar("libshalom_pool_tasks_in_flight", Gauge, "Tasks started but not yet finished.", float64(s.Pool.InFlight)),
-		scalar("libshalom_pool_queue_wait_seconds_total", Counter, "Summed task queue wait.", float64(s.Pool.QueueWaitNs)/1e9),
-		scalar("libshalom_pool_worker_busy_seconds_total", Counter, "Summed task execution time.", float64(s.Pool.BusyNs)/1e9),
-		scalar("libshalom_threads_policy_calls_total", Counter, "Calls routed through the thread policy.", float64(s.Threads.Calls)),
-		scalar("libshalom_threads_requested_total", Counter, "Summed requested thread widths.", float64(s.Threads.RequestedSum)),
-		scalar("libshalom_threads_chosen_total", Counter, "Summed chosen thread widths.", float64(s.Threads.ChosenSum)),
-		scalar("libshalom_threads_clamped_calls_total", Counter, "Calls whose width the small-GEMM policy clamped.", float64(s.Threads.ClampedCalls)),
+		scalar("libshalom_pool_tasks_queued_total", "counter", "Tasks submitted to the worker pool.", float64(s.Pool.TasksQueued)),
+		scalar("libshalom_pool_tasks_started_total", "counter", "Tasks begun by pool workers.", float64(s.Pool.TasksStarted)),
+		scalar("libshalom_pool_tasks_done_total", "counter", "Tasks completed by pool workers.", float64(s.Pool.TasksDone)),
+		scalar("libshalom_pool_tasks_in_flight", "gauge", "Tasks started but not yet finished.", float64(s.Pool.InFlight)),
+		scalar("libshalom_pool_queue_wait_seconds_total", "counter", "Summed task queue wait.", float64(s.Pool.QueueWaitNs)/1e9),
+		scalar("libshalom_pool_worker_busy_seconds_total", "counter", "Summed task execution time.", float64(s.Pool.BusyNs)/1e9),
+		scalar("libshalom_threads_policy_calls_total", "counter", "Calls routed through the thread policy.", float64(s.Threads.Calls)),
+		scalar("libshalom_threads_requested_total", "counter", "Summed requested thread widths.", float64(s.Threads.RequestedSum)),
+		scalar("libshalom_threads_chosen_total", "counter", "Summed chosen thread widths.", float64(s.Threads.ChosenSum)),
+		scalar("libshalom_threads_clamped_calls_total", "counter", "Calls whose width the small-GEMM policy clamped.", float64(s.Threads.ClampedCalls)),
 		events("libshalom_fault_events_total", "Fired fault-injection points.", "point", s.Faults),
 		events("libshalom_degradation_events_total", "Kernel-path demotions observed by the runtime.", "reason", s.Degradations),
 		events("libshalom_heal_events_total", "Self-healing events: breaker lifecycle, canary verdicts, watchdog conversions, transient retries.", "event", s.Heal),
-		{Name: "libshalom_attrib_calls_total", Type: Counter, Labels: callLabels[:4],
+		{Name: "libshalom_attrib_calls_total", Type: "counter", Labels: callLabels[:4], // the call key less outcome
 			Help: "Clean (outcome ok) calls feeding the attribution sketch.",
-			Samples: func(yield func(Sample)) {
-				for _, a := range s.Attrib {
-					yield(Sample{Labels: []string{a.Precision, a.Mode, a.ShapeClass, a.Kernel}, Value: float64(a.Count)})
-				}
-			}},
-		{Name: "libshalom_attrib_gflops", Type: Gauge, Labels: []string{"precision", "mode", "shape_class", "kernel", "stat"},
+			Samples: Each(s.Attrib, func(a AttribStat) Sample {
+				return Sample{Labels: a.labelValues(), Value: float64(a.Count)}
+			})},
+		{Name: "libshalom_attrib_gflops", Type: "gauge", Labels: append(callLabels[:4:4], "stat"),
 			Help: "Achieved GFLOPS from the fine attribution sketch (stat: mean, p50, p99).",
 			Samples: func(yield func(Sample)) {
 				for _, a := range s.Attrib {
-					yield(Sample{Labels: []string{a.Precision, a.Mode, a.ShapeClass, a.Kernel, "mean"}, Value: a.MeanGFLOPS})
-					yield(Sample{Labels: []string{a.Precision, a.Mode, a.ShapeClass, a.Kernel, "p50"}, Value: a.P50GFLOPS})
-					yield(Sample{Labels: []string{a.Precision, a.Mode, a.ShapeClass, a.Kernel, "p99"}, Value: a.P99GFLOPS})
+					yield(Sample{Labels: append(a.labelValues(), "mean"), Value: a.MeanGFLOPS})
+					yield(Sample{Labels: append(a.labelValues(), "p50"), Value: a.P50GFLOPS})
+					yield(Sample{Labels: append(a.labelValues(), "p99"), Value: a.P99GFLOPS})
 				}
 			}},
 		events("libshalom_attrib_drift_events_total", "Drift events the attribution engine emitted, by shape class.", "shape_class", s.AttribDrift),
-		scalar("libshalom_attrib_windows_total", Counter, "Completed attribution windows.", float64(s.AttribWindows)),
-		scalar("libshalom_breakers_open", Gauge, "Circuit breakers currently open (reference path in use), as observed through this recorder.", float64(s.BreakersOpen)),
-		scalar("libshalom_breakers_probing", Gauge, "Circuit breakers currently probing (canary re-promotion in progress), as observed through this recorder.", float64(s.BreakersProbing)),
-		scalar("libshalom_trace_spans_total", Counter, "Phase spans recorded into the trace ring.", float64(s.TraceSpans)),
-		scalar("libshalom_trace_spans_dropped_total", Counter, "Spans overwritten by ring wraparound.", float64(s.TraceDropped)),
+		scalar("libshalom_attrib_windows_total", "counter", "Completed attribution windows.", float64(s.AttribWindows)),
+		scalar("libshalom_breakers_open", "gauge", "Circuit breakers currently open (reference path in use), as observed through this recorder.", float64(s.BreakersOpen)),
+		scalar("libshalom_breakers_probing", "gauge", "Circuit breakers currently probing (canary re-promotion in progress), as observed through this recorder.", float64(s.BreakersProbing)),
+		scalar("libshalom_trace_spans_total", "counter", "Phase spans recorded into the trace ring.", float64(s.TraceSpans)),
+		scalar("libshalom_trace_spans_dropped_total", "counter", "Spans overwritten by ring wraparound.", float64(s.TraceDropped)),
 	}
 	if sv := s.Server; sv.Active() {
 		fams = append(fams,
-			scalar("libshalom_server_requests_accepted_total", Counter, "Requests admitted into a coalescing queue.", float64(sv.Accepted)),
-			scalar("libshalom_server_requests_shed_total", Counter, "Requests refused by admission control (HTTP 429).", float64(sv.Shed)),
-			scalar("libshalom_server_requests_expired_total", Counter, "Admitted requests dropped before flush on an already-passed deadline.", float64(sv.Expired)),
-			scalar("libshalom_server_requests_rejected_total", Counter, "Requests refused at decode time (HTTP 400).", float64(sv.Rejected)),
-			scalar("libshalom_server_coalesced_requests_total", Counter, "Requests that shared a flush with at least one other request.", float64(sv.Coalesced)),
-			Family{Name: "libshalom_server_batch_size", Type: Histogram, Scale: 1, NoSum: true,
+			scalar("libshalom_server_requests_accepted_total", "counter", "Requests admitted into a coalescing queue.", float64(sv.Accepted)),
+			scalar("libshalom_server_requests_shed_total", "counter", "Requests refused by admission control (HTTP 429).", float64(sv.Shed)),
+			scalar("libshalom_server_requests_expired_total", "counter", "Admitted requests dropped before flush on an already-passed deadline.", float64(sv.Expired)),
+			scalar("libshalom_server_requests_rejected_total", "counter", "Requests refused at decode time (HTTP 400).", float64(sv.Rejected)),
+			scalar("libshalom_server_coalesced_requests_total", "counter", "Requests that shared a flush with at least one other request.", float64(sv.Coalesced)),
+			Family{Name: "libshalom_server_batch_size", Type: "histogram", Scale: 1, NoSum: true,
 				Help:    "Coalescer flush sizes, log2-bucketed.",
 				Samples: func(yield func(Sample)) { yield(Sample{Counts: sv.BatchSizeBuckets[:]}) }},
-			Family{Name: "libshalom_server_queue_wait_seconds", Type: Histogram, Scale: 1e9,
+			Family{Name: "libshalom_server_queue_wait_seconds", Type: "histogram", Scale: 1e9,
 				Help: "Request wait in the coalescing queue, log2-bucketed.",
 				Samples: func(yield func(Sample)) {
 					yield(Sample{Counts: sv.QueueWaitBuckets[:], Sum: float64(sv.QueueWaitNs) / 1e9})
@@ -262,34 +241,34 @@ func (s Snapshot) families() []Family {
 	}
 	if rt := s.Router; rt.Active() {
 		fams = append(fams,
-			scalar("libshalom_router_requests_forwarded_total", Counter, "Requests answered 200 off a backend.", float64(rt.Forwarded)),
-			scalar("libshalom_router_attempts_total", Counter, "Forward attempts to backends (first tries, retries and hedges).", float64(rt.Attempts)),
-			scalar("libshalom_router_retries_total", Counter, "Failure-triggered re-attempts on the next-preferred backend.", float64(rt.Retries)),
-			scalar("libshalom_router_hedges_total", Counter, "Latency-triggered concurrent attempts on the next-preferred backend.", float64(rt.Hedges)),
-			scalar("libshalom_router_requests_shed_total", Counter, "Requests the router answered 429/503 (no backend admitted them).", float64(rt.Shed)),
-			scalar("libshalom_router_requests_error_total", Counter, "Requests the router answered 502/504 after exhausting retries or deadline.", float64(rt.Errors)),
-			scalar("libshalom_router_requests_rejected_total", Counter, "Requests refused at the router's decode step (HTTP 400).", float64(rt.Rejected)),
-			scalar("libshalom_router_ejections_total", Counter, "Backends ejected by the outlier state machine.", float64(rt.Ejections)),
-			scalar("libshalom_router_readmissions_total", Counter, "Ejected backends readmitted after a successful backoff probe.", float64(rt.Readmissions)),
-			scalar("libshalom_router_probes_total", Counter, "Readiness probes issued to backends.", float64(rt.Probes)),
-			scalar("libshalom_router_probe_failures_total", Counter, "Readiness probes that failed (connect error or non-ready status).", float64(rt.ProbeFails)),
-			scalar("libshalom_router_backends_eligible", Gauge, "Backends currently eligible for routing (healthy and ready).", float64(rt.BackendsEligible)),
-			scalar("libshalom_router_backends_ejected", Gauge, "Backends currently ejected by the outlier state machine.", float64(rt.BackendsEjected)),
+			scalar("libshalom_router_requests_forwarded_total", "counter", "Requests answered 200 off a backend.", float64(rt.Forwarded)),
+			scalar("libshalom_router_attempts_total", "counter", "Forward attempts to backends (first tries, retries and hedges).", float64(rt.Attempts)),
+			scalar("libshalom_router_retries_total", "counter", "Failure-triggered re-attempts on the next-preferred backend.", float64(rt.Retries)),
+			scalar("libshalom_router_hedges_total", "counter", "Latency-triggered concurrent attempts on the next-preferred backend.", float64(rt.Hedges)),
+			scalar("libshalom_router_requests_shed_total", "counter", "Requests the router answered 429/503 (no backend admitted them).", float64(rt.Shed)),
+			scalar("libshalom_router_requests_error_total", "counter", "Requests the router answered 502/504 after exhausting retries or deadline.", float64(rt.Errors)),
+			scalar("libshalom_router_requests_rejected_total", "counter", "Requests refused at the router's decode step (HTTP 400).", float64(rt.Rejected)),
+			scalar("libshalom_router_ejections_total", "counter", "Backends ejected by the outlier state machine.", float64(rt.Ejections)),
+			scalar("libshalom_router_readmissions_total", "counter", "Ejected backends readmitted after a successful backoff probe.", float64(rt.Readmissions)),
+			scalar("libshalom_router_probes_total", "counter", "Readiness probes issued to backends.", float64(rt.Probes)),
+			scalar("libshalom_router_probe_failures_total", "counter", "Readiness probes that failed (connect error or non-ready status).", float64(rt.ProbeFails)),
+			scalar("libshalom_router_backends_eligible", "gauge", "Backends currently eligible for routing (healthy and ready).", float64(rt.BackendsEligible)),
+			scalar("libshalom_router_backends_ejected", "gauge", "Backends currently ejected by the outlier state machine.", float64(rt.BackendsEjected)),
 		)
 	}
 	if at := s.Autotune; at.Active() {
 		fams = append(fams,
 			events("libshalom_autotune_events_total", "Autotuner lifecycle events: searches, proofs, rejections, canaries, promotions, reverts.", "event", at.Events),
-			scalar("libshalom_autotune_overrides", Gauge, "Tuned dispatch overrides currently installed.", float64(at.Overrides)),
+			scalar("libshalom_autotune_overrides", "gauge", "Tuned dispatch overrides currently installed.", float64(at.Overrides)),
 		)
 	}
 	if jn := s.Journal; jn.Active() {
 		fams = append(fams,
-			scalar("libshalom_journal_records_total", Counter, "Event records appended to the request journal.", float64(jn.Records)),
-			scalar("libshalom_journal_bytes_total", Counter, "Bytes appended to the request journal, frames included.", float64(jn.Bytes)),
-			scalar("libshalom_journal_anchors_total", Counter, "Merkle anchors committed to the journal chain.", float64(jn.Anchors)),
-			scalar("libshalom_journal_segments_sealed_total", Counter, "Journal segments closed by a sealed anchor.", float64(jn.Sealed)),
-			scalar("libshalom_journal_fsyncs_total", Counter, "Explicit fsyncs of the active journal segment.", float64(jn.Fsyncs)),
+			scalar("libshalom_journal_records_total", "counter", "Event records appended to the request journal.", float64(jn.Records)),
+			scalar("libshalom_journal_bytes_total", "counter", "Bytes appended to the request journal, frames included.", float64(jn.Bytes)),
+			scalar("libshalom_journal_anchors_total", "counter", "Merkle anchors committed to the journal chain.", float64(jn.Anchors)),
+			scalar("libshalom_journal_segments_sealed_total", "counter", "Journal segments closed by a sealed anchor.", float64(jn.Sealed)),
+			scalar("libshalom_journal_fsyncs_total", "counter", "Explicit fsyncs of the active journal segment.", float64(jn.Fsyncs)),
 		)
 	}
 	return fams

@@ -61,7 +61,7 @@ func TestHistogramBoundsInclusive(t *testing.T) {
 // Label values are escaped by the text-format rules (backslash, double
 // quote, line feed), not by Go quoting: other bytes stay literal.
 func TestLabelValueEscaping(t *testing.T) {
-	fam := Family{Name: "x", Help: "h", Type: Gauge, Labels: []string{"v"},
+	fam := Family{Name: "x", Help: "h", Type: "gauge", Labels: []string{"v"},
 		Samples: func(yield func(Sample)) { yield(Sample{Labels: []string{"a\\b\"c\nd\té"}, Value: 0.5}) }}
 	var buf bytes.Buffer
 	if err := WriteFamilies(&buf, []Family{fam}); err != nil {

@@ -7,28 +7,23 @@ import "runtime/metrics"
 // GOMAXPROCS). Sampled only when a scrape happens — runtime/metrics reads
 // are cheap but not free, and nothing here may touch the GEMM hot path.
 
-// runtimeSamples is the fixed sample set, in runtimeFamilies' row order;
-// each scrape reads a copy.
-var runtimeSamples = []metrics.Sample{
-	{Name: "/memory/classes/heap/objects:bytes"},
-	{Name: "/memory/classes/total:bytes"},
-	{Name: "/gc/pauses:seconds"},
-	{Name: "/sched/goroutines:goroutines"},
-	{Name: "/sched/gomaxprocs:threads"},
-}
-
 // runtimeFamilies samples runtime/metrics at call time, so the cost is
 // paid per scrape, never per GEMM.
 func runtimeFamilies() []Family {
-	samples := make([]metrics.Sample, len(runtimeSamples))
-	copy(samples, runtimeSamples)
+	samples := []metrics.Sample{
+		{Name: "/memory/classes/heap/objects:bytes"},
+		{Name: "/memory/classes/total:bytes"},
+		{Name: "/gc/pauses:seconds"},
+		{Name: "/sched/goroutines:goroutines"},
+		{Name: "/sched/gomaxprocs:threads"},
+	}
 	metrics.Read(samples)
 	return []Family{
-		scalar("libshalom_go_heap_objects_bytes", Gauge, "Bytes of live heap objects (runtime/metrics).", sampleFloat(samples[0])),
-		scalar("libshalom_go_memory_total_bytes", Gauge, "Total bytes of memory mapped by the Go runtime.", sampleFloat(samples[1])),
-		scalar("libshalom_go_gc_pause_p99_seconds", Gauge, "p99 stop-the-world GC pause (runtime/metrics histogram).", histQuantile(samples[2], 0.99)),
-		scalar("libshalom_go_goroutines", Gauge, "Live goroutine count.", sampleFloat(samples[3])),
-		scalar("libshalom_go_gomaxprocs", Gauge, "GOMAXPROCS at scrape time.", sampleFloat(samples[4])),
+		scalar("libshalom_go_heap_objects_bytes", "gauge", "Bytes of live heap objects (runtime/metrics).", sampleFloat(samples[0])),
+		scalar("libshalom_go_memory_total_bytes", "gauge", "Total bytes of memory mapped by the Go runtime.", sampleFloat(samples[1])),
+		scalar("libshalom_go_gc_pause_p99_seconds", "gauge", "p99 stop-the-world GC pause (runtime/metrics histogram).", histQuantile(samples[2], 0.99)),
+		scalar("libshalom_go_goroutines", "gauge", "Live goroutine count.", sampleFloat(samples[3])),
+		scalar("libshalom_go_gomaxprocs", "gauge", "GOMAXPROCS at scrape time.", sampleFloat(samples[4])),
 	}
 }
 

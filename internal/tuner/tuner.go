@@ -8,7 +8,8 @@
 package tuner
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"libshalom/internal/analytic"
 	"libshalom/internal/isa"
@@ -34,10 +35,9 @@ type Result struct {
 	Candidates []Candidate
 }
 
-// TileGFLOPS is the tile scorer shared by SearchTile and the online
-// autotuner: the modeled steady-state throughput of the pipelined main
-// micro-kernel with an mr×nr register tile on the platform, L1-resident
-// operands. A tile infeasible under Eq. 1 scores 0.
+// TileGFLOPS is the tile scorer shared with the online autotuner: the
+// modeled steady-state GFLOPS of the pipelined main kernel with an mr×nr
+// tile and L1-resident operands; 0 for a tile infeasible under Eq. 1.
 func TileGFLOPS(p *platform.Platform, elemBytes, mr, nr int) float64 {
 	lanes := 16 / elemBytes
 	if !analytic.Feasible(mr, nr, lanes, analytic.RegisterBudget) {
@@ -56,25 +56,15 @@ func TileGFLOPS(p *platform.Platform, elemBytes, mr, nr int) float64 {
 	return 2 * float64(mr) * float64(nr) / cpi * p.FreqGHz
 }
 
-// Before is the tile ordering shared by SearchTile and the online
-// autotuner: higher modeled throughput first, ties broken toward the
-// higher-CMR tile — the analytic objective acts as the secondary criterion
-// exactly as §5.2 motivates — then the wider NR, then the taller MR.
-func Before(a, b Candidate) bool {
-	if a.GFLOPS != b.GFLOPS {
-		return a.GFLOPS > b.GFLOPS
-	}
-	if a.CMR != b.CMR {
-		return a.CMR > b.CMR
-	}
-	if a.NR != b.NR {
-		return a.NR > b.NR
-	}
-	return a.MR > b.MR
+// Compare is the tile ordering shared with the online autotuner, best
+// first: higher GFLOPS, then higher CMR (the analytic objective as the
+// secondary criterion, as §5.2 motivates), then wider NR, then taller MR.
+func Compare(a, b Candidate) int {
+	return cmp.Or(cmp.Compare(b.GFLOPS, a.GFLOPS), cmp.Compare(b.CMR, a.CMR), cmp.Compare(b.NR, a.NR), cmp.Compare(b.MR, a.MR))
 }
 
 // SearchTile evaluates every feasible register tile for the platform and
-// element size and returns the candidates sorted by Before.
+// element size and returns the candidates sorted by Compare.
 func SearchTile(p *platform.Platform, elemBytes int) Result {
 	lanes := 16 / elemBytes
 	var r Result
@@ -88,7 +78,7 @@ func SearchTile(p *platform.Platform, elemBytes int) Result {
 			})
 		}
 	}
-	sort.Slice(r.Candidates, func(i, j int) bool { return Before(r.Candidates[i], r.Candidates[j]) })
+	slices.SortFunc(r.Candidates, Compare)
 	r.Best = r.Candidates[0]
 
 	at := analytic.SolveForElem(elemBytes)
