@@ -133,7 +133,7 @@ func MetricsHandler(r *Recorder, sources ...func() []Family) http.Handler {
 		for _, src := range sources {
 			fams = append(fams, src()...)
 		}
-		_ = WriteFamilies(w, fams)
+		_ = WriteFamilies(w, fams) // a failed write means the scraper hung up; there is no one to tell
 	})
 }
 
