@@ -80,10 +80,23 @@ func Solve(j, budget int) Tile {
 }
 
 // SolveForElem returns the micro-kernel tile for the element size in bytes
-// (4 → FP32 lanes j=4 → 7×12; 8 → FP64 lanes j=2 → 7×6).
+// (4 → FP32 lanes j=4 → 7×12; 8 → FP64 lanes j=2 → 7×6). The two GEMM
+// precisions read a tile solved once at init: Solve depends only on the
+// lane count and the constant RegisterBudget.
 func SolveForElem(elemBytes int) Tile {
+	switch elemBytes {
+	case 4:
+		return solvedF32
+	case 8:
+		return solvedF64
+	}
 	return Solve(platform.VectorLanes(elemBytes), RegisterBudget)
 }
+
+var (
+	solvedF32 = Solve(platform.VectorLanes(4), RegisterBudget)
+	solvedF64 = Solve(platform.VectorLanes(8), RegisterBudget)
+)
 
 // Blocking holds the cache blocking parameters of the Goto loop nest.
 type Blocking struct {

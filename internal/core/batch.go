@@ -5,13 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 	"unsafe"
 
-	"libshalom/internal/analytic"
-	"libshalom/internal/faults"
 	"libshalom/internal/guard"
-	"libshalom/internal/heal"
 	"libshalom/internal/parallel"
 	"libshalom/internal/telemetry"
 )
@@ -106,11 +102,11 @@ func gemmBatch[T Float](ctx context.Context, cfg Config, ks kernelSet[T], mode M
 		ctx, cancel = context.WithTimeout(ctx, cfg.Deadline)
 		defer cancel()
 	}
-	plat := cfg.platform()
-	guard.VerifyContracts(plat)
-	path := guard.PathFor(ks.elemBytes)
-	tile := analytic.SolveForElem(ks.elemBytes)
-	blk := analytic.BlockingFor(plat, ks.elemBytes)
+	p := derivePlan(cfg.verifiedPlatform(), mode, ks.elemBytes)
+	// Every entry runs single-threaded through the shared dispatch: the
+	// batch parallelizes across entries, not inside one.
+	one := cfg
+	one.Threads = 1
 
 	tel := cfg.Tel
 	prec := telemetry.PrecFor(ks.elemBytes)
@@ -125,71 +121,10 @@ func gemmBatch[T Float](ctx context.Context, cfg Config, ks kernelSet[T], mode M
 	var completed atomic.Int64
 	ran := make([]bool, len(batch))
 
-	execOne := func(worker, i int, e BatchEntry[T], class uint8) (bool, uint8, error) {
-		if e.M == 0 || e.N == 0 {
-			return false, telemetry.KernelFast, nil
-		}
-		if e.Alpha == 0 || e.K == 0 {
-			scaleAll(ks, e.M, e.N, e.Beta, e.C, e.LDC)
-			return false, telemetry.KernelFast, nil
-		}
-		// Routing is per entry, not per batch: a breaker that heals (or
-		// trips) mid-batch takes effect from the next entry on.
-		route, beganProbe := heal.RouteFor(plat.Name, path)
-		if beganProbe {
-			tel.HealEvent(telemetry.HealBreakerProbe)
-			tel.BreakerTransition(telemetry.BreakerOpen, telemetry.BreakerProbing)
-		}
-		switch route {
-		case heal.RouteRef:
-			ks.ref(mode.TransA(), mode.TransB(), e.M, e.N, e.K, e.Alpha, e.A, e.LDA, e.B, e.LDB, e.Beta, e.C, e.LDC)
-			return false, telemetry.KernelRef, nil
-		case heal.RouteCanary:
-			degraded := runCanary(cfg, ks, plat, tile, blk, mode, path, false,
-				telemetry.WorkerTid(worker, callTid),
-				e.M, e.N, e.K, e.Alpha, e.A, e.LDA, e.B, e.LDB, e.Beta, e.C, e.LDC)
-			return degraded, telemetry.KernelFast, nil
-		}
-		// Tuned dispatch override for this entry's shape class — same
-		// three-way routing as the non-batch driver (see resolveOverride):
-		// probing runs canary-shadowed, healthy serves the tuned tile, open
-		// falls back to the incumbent tile.
-		effTile, effBlk, effPath, kern, ovCanary := resolveOverride(plat, ks.elemBytes, class, tile, blk, path)
-		if ovCanary {
-			degraded := runCanary(cfg, ks, plat, effTile, effBlk, mode, effPath, true,
-				telemetry.WorkerTid(worker, callTid),
-				e.M, e.N, e.K, e.Alpha, e.A, e.LDA, e.B, e.LDB, e.Beta, e.C, e.LDC)
-			return degraded, telemetry.KernelTuned, nil
-		}
-		bl := parallel.Block{I0: 0, J0: 0, M: e.M, N: e.N}
-		degraded, err := runBlock(cfg, ks, plat, effTile, effBlk, mode, effPath, bl, i,
-			telemetry.WorkerTid(worker, callTid), e.K,
-			e.Alpha, e.A, e.LDA, e.B, e.LDB, e.Beta, e.C, e.LDC)
-		return degraded, kern, err
-	}
-	runOne := func(worker, i int, e BatchEntry[T]) error {
-		start := tel.Now()
-		class := uint8(telemetry.ClassifyShape(e.M, e.N, e.K))
-		if d := faults.SlowClassFire(class); d > 0 {
-			// Chaos: the batch (serving) path's copy of the slow-class
-			// delay — inside the timed region, so the attribution engine
-			// sees the seeded class underperform (scripts/attrib-smoke.sh).
-			tel.FaultInjected(faults.SlowShapeClass)
-			time.Sleep(d)
-		}
-		degraded, kernel, err := execOne(worker, i, e, class)
-		if tel != nil {
-			flops := 2 * float64(e.M) * float64(e.N) * float64(e.K)
-			outcome := telemetry.OutcomeOK
-			switch {
-			case err != nil:
-				outcome = telemetry.OutcomePanic
-			case degraded:
-				outcome, kernel = telemetry.OutcomeDegraded, telemetry.KernelRef
-			}
-			tel.CallDone(prec, uint8(mode), class, kernel, outcome, start, flops)
-		}
-		if err != nil {
+	runOne := func(worker, i int) error {
+		e := batch[i]
+		if err := dispatch(one, ks, &p, i, telemetry.WorkerTid(worker, callTid),
+			e.M, e.N, e.K, e.Alpha, e.A, e.LDA, e.B, e.LDB, e.Beta, e.C, e.LDC); err != nil {
 			return err
 		}
 		ran[i] = true
@@ -212,11 +147,11 @@ func gemmBatch[T Float](ctx context.Context, cfg Config, ks kernelSet[T], mode M
 
 	threads := cfg.Threads
 	if threads <= 1 || len(batch) == 1 {
-		for i, e := range batch {
+		for i := range batch {
 			if ctx.Err() != nil {
 				return cancelErr()
 			}
-			if err := runOne(-1, i, e); err != nil {
+			if err := runOne(-1, i); err != nil {
 				return err
 			}
 		}
@@ -247,7 +182,7 @@ func gemmBatch[T Float](ctx context.Context, cfg Config, ks kernelSet[T], mode M
 				if ctx.Err() != nil {
 					return
 				}
-				if err := runOne(worker, i, batch[i]); err != nil {
+				if err := runOne(worker, i); err != nil {
 					errSlots[slot] = err
 					return
 				}

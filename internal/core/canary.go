@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math"
 
-	"libshalom/internal/analytic"
 	"libshalom/internal/faults"
 	"libshalom/internal/heal"
 	"libshalom/internal/parallel"
-	"libshalom/internal/platform"
 	"libshalom/internal/telemetry"
 )
 
@@ -17,10 +15,10 @@ import (
 // path runs into the real C (single-threaded, under panic isolation), and
 // the two results are compared element-wise under the precision's tolerance.
 //
-// path names the breaker under probation — the kernel family's path
+// p.path names the breaker under probation — the kernel family's path
 // (guard.PathFor) for healing canaries, or a tuned override's private path
 // when the autotuner is proving a candidate tile on live traffic (tuned
-// true; tile and blk then carry the candidate's parameters).
+// true; p then carries the candidate's tile and KC).
 //
 // On agreement the canary counts toward closing the breaker. On any
 // disagreement — a fast-path panic, an element outside tolerance, or the
@@ -30,8 +28,9 @@ import (
 // cooldown (for a tuned path, the trip also evicts the dispatch override,
 // restoring the incumbent tile). The returned degraded flag reports whether
 // the call fell back to the reference result.
-func runCanary[T Float](cfg Config, ks kernelSet[T], plat *platform.Platform, tile analytic.Tile, blk analytic.Blocking, mode Mode, path string, tuned bool, tid int32, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) (degraded bool) {
+func runCanary[T Float](cfg Config, ks kernelSet[T], p *execPlan, tuned bool, tid int32, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) (degraded bool) {
 	tel := cfg.Tel
+	mode := p.mode
 	tel.HealEvent(telemetry.HealCanaryRun)
 
 	// The shadow starts as a clone of C (dense, leading dimension n) so the
@@ -40,12 +39,12 @@ func runCanary[T Float](cfg Config, ks kernelSet[T], plat *platform.Platform, ti
 	ks.ref(mode.TransA(), mode.TransB(), m, n, k, alpha, a, lda, b, ldb, beta, shadow, n)
 
 	bl := parallel.Block{I0: 0, J0: 0, M: m, N: n}
-	panicErr := protect(plat, mode, ks.elemBytes, bl, -1, func() {
+	panicErr := protect(p, bl, -1, func() {
 		if faults.Fire(faults.PanicInKernel) {
 			tel.FaultInjected(faults.PanicInKernel)
 			panic(faults.InjectedPanicMsg)
 		}
-		gemmST(tel, tid, ks, plat, tile, blk, mode, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+		gemmST(tel, tid, ks, p, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 	})
 	if tuned && panicErr == nil && m > 0 && n > 0 && faults.Fire(faults.TunerBadCandidate) {
 		// Chaos: a candidate that cleared every static proof yet computes a
@@ -70,7 +69,7 @@ func runCanary[T Float](cfg Config, ks kernelSet[T], plat *platform.Platform, ti
 		// The reference shadow is the correct result; the call still succeeds.
 		restoreC(c, shadow, m, n, ldc)
 		shape := fmt.Sprintf("%s %dx%dx%d", mode, m, n, k)
-		if heal.ReportMismatch(plat.Name, path, mismatch, shape) {
+		if heal.ReportMismatch(p.plat.Name, p.path, mismatch, shape) {
 			tel.HealEvent(telemetry.HealBreakerOpen)
 			tel.BreakerTransition(telemetry.BreakerProbing, telemetry.BreakerOpen)
 		}
@@ -79,7 +78,7 @@ func runCanary[T Float](cfg Config, ks kernelSet[T], plat *platform.Platform, ti
 		return true
 	}
 	tel.HealEvent(telemetry.HealCanaryAgree)
-	if heal.ReportAgree(plat.Name, path) {
+	if heal.ReportAgree(p.plat.Name, p.path) {
 		tel.HealEvent(telemetry.HealBreakerClose)
 		tel.BreakerTransition(telemetry.BreakerProbing, telemetry.BreakerHealthy)
 	}

@@ -70,7 +70,20 @@ func (c Config) platform() *platform.Platform {
 	if c.Plat != nil {
 		return c.Plat
 	}
-	return platform.KP920()
+	return defaultPlatform
+}
+
+// defaultPlatform is the model a nil Config.Plat selects, built once.
+var defaultPlatform = platform.KP920()
+
+// verifiedPlatform is platform() after the registration-time leg of the
+// fallback chain: its kernel contracts are verified (memoised per platform),
+// tripping the breaker of any kernel family that fails. The driver calls it
+// once per call and once per batch; PlanFor, being introspection, does not.
+func (c Config) verifiedPlatform() *platform.Platform {
+	plat := c.platform()
+	guard.VerifyContracts(plat)
+	return plat
 }
 
 // Float constrains the generic driver to the two GEMM precisions.
@@ -168,22 +181,35 @@ func gemm[T Float](cfg Config, ks kernelSet[T], mode Mode, m, n, k int, alpha T,
 	if err := checkArgs(mode, m, n, k, a, lda, b, ldb, c, ldc); err != nil {
 		return err
 	}
+	p := derivePlan(cfg.verifiedPlatform(), mode, ks.elemBytes)
+	return dispatch(cfg, ks, &p, -1, cfg.Tel.CallTid(), m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+}
+
+// dispatch runs one problem — a single call (entry < 0) or the batch entry
+// with index entry — through the fallback chain in the order both share:
+// the slow-class chaos hook, the empty and scale-only short-circuits, the
+// breaker route, then the reference, canary or fast route, and last the
+// (kernel, outcome) telemetry. tid is the trace lane the problem runs on.
+// Only single calls record the call and plan spans, and only they split
+// into threaded blocks; batch entries pass Threads 1.
+func dispatch[T Float](cfg Config, ks kernelSet[T], p *execPlan, entry int, tid int32, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) error {
 	tel := cfg.Tel
+	mode := uint8(p.mode)
 	prec := telemetry.PrecFor(ks.elemBytes)
 	class := uint8(telemetry.ClassifyShape(m, n, k))
-	flops := 2 * float64(m) * float64(n) * float64(k)
-	callStart := tel.Now()
-	callTid := tel.CallTid()
+	start := tel.Now()
 	if d := faults.SlowClassFire(class); d > 0 {
 		// Chaos: a kernel that regressed on this workload regime. Timing
-		// only — the delay lands inside the call's measured duration so the
+		// only — the delay lands inside the measured duration so the
 		// attribution engine sees the class underperform its model.
 		tel.FaultInjected(faults.SlowShapeClass)
 		time.Sleep(d)
 	}
 	finish := func(kernel, outcome uint8, err error) error {
-		tel.CallDone(prec, uint8(mode), class, kernel, outcome, callStart, flops)
-		tel.Span(telemetry.PhaseCall, callTid, callStart, uint8(mode), prec, m, n, k)
+		tel.CallDone(prec, mode, class, kernel, outcome, start, 2*float64(m)*float64(n)*float64(k))
+		if entry < 0 {
+			tel.Span(telemetry.PhaseCall, tid, start, mode, prec, m, n, k)
+		}
 		return err
 	}
 	if m == 0 || n == 0 {
@@ -193,53 +219,39 @@ func gemm[T Float](cfg Config, ks kernelSet[T], mode Mode, m, n, k int, alpha T,
 		scaleAll(ks, m, n, beta, c, ldc)
 		return finish(telemetry.KernelFast, telemetry.OutcomeOK, nil)
 	}
-	plat := cfg.platform()
-	// The plan phase: contract verification (memoised per platform — the
-	// registration-time leg of the fallback chain, tripping the breaker of
-	// any kernel family that fails), the breaker routing decision, the tile
-	// solve and the blocking derivation.
+	// The plan phase is the breaker routing decision, taken per problem so
+	// a breaker that heals or trips mid-batch takes effect from the next
+	// entry on.
 	planStart := tel.Now()
-	guard.VerifyContracts(plat)
-	route, beganProbe := heal.RouteFor(plat.Name, guard.PathFor(ks.elemBytes))
+	route, beganProbe := heal.RouteFor(p.plat.Name, p.path)
 	if beganProbe {
 		tel.HealEvent(telemetry.HealBreakerProbe)
 		tel.BreakerTransition(telemetry.BreakerOpen, telemetry.BreakerProbing)
 	}
+	if entry < 0 {
+		tel.Span(telemetry.PhasePlan, tid, planStart, mode, prec, m, n, k)
+	}
 	if route == heal.RouteRef {
-		tel.Span(telemetry.PhasePlan, callTid, planStart, uint8(mode), prec, m, n, k)
-		ks.ref(mode.TransA(), mode.TransB(), m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+		ks.ref(p.mode.TransA(), p.mode.TransB(), m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 		return finish(telemetry.KernelRef, telemetry.OutcomeOK, nil)
 	}
-	tile := analytic.SolveForElem(ks.elemBytes)
-	blk := analytic.BlockingFor(plat, ks.elemBytes)
-	famPath := guard.PathFor(ks.elemBytes)
-	tel.Span(telemetry.PhasePlan, callTid, planStart, uint8(mode), prec, m, n, k)
 
-	if route == heal.RouteCanary {
-		// Probing breaker: fast path shadowed by the reference, compared.
+	// A probing family breaker canaries the incumbent tile; otherwise a
+	// tuned dispatch override installed for the shape class may substitute
+	// its tile, canary-shadowed while its own breaker probes.
+	kern, canary := telemetry.KernelFast, route == heal.RouteCanary
+	if !canary {
+		if tuned, probing, ok := resolveOverride(p, class); ok {
+			p, kern, canary = &tuned, telemetry.KernelTuned, probing
+		}
+	}
+	if canary {
 		// Canaries run single-threaded — the shadow doubles the work anyway,
 		// and the probing window is short.
-		if runCanary(cfg, ks, plat, tile, blk, mode, famPath, false, callTid, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc) {
+		if runCanary(cfg, ks, p, kern == telemetry.KernelTuned, tid, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc) {
 			return finish(telemetry.KernelRef, telemetry.OutcomeDegraded, nil)
 		}
-		return finish(telemetry.KernelFast, telemetry.OutcomeOK, nil)
-	}
-
-	// Tuned dispatch override: when the autotuner has installed a candidate
-	// tile for this (precision, shape class), route through the candidate's
-	// private breaker. Probing runs canary-shadowed (the caller always gets
-	// the reference-checked result); healthy serves the tuned tile directly;
-	// an open tuned breaker — possible only in the instant before Trip evicts
-	// the override — falls back to the incumbent tile, never the reference.
-	// resolveOverride keeps every resulting variable single-assignment: the
-	// threaded-task closures below escape, and reassigning a captured
-	// variable would heap-box it on the zero-alloc single-threaded path too.
-	effTile, effBlk, path, kern, ovCanary := resolveOverride(plat, ks.elemBytes, class, tile, blk, famPath)
-	if ovCanary {
-		if runCanary(cfg, ks, plat, effTile, effBlk, mode, path, true, callTid, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc) {
-			return finish(telemetry.KernelRef, telemetry.OutcomeDegraded, nil)
-		}
-		return finish(telemetry.KernelTuned, telemetry.OutcomeOK, nil)
+		return finish(kern, telemetry.OutcomeOK, nil)
 	}
 
 	report := func(degraded bool, err error) error {
@@ -261,93 +273,79 @@ func gemm[T Float](cfg Config, ks kernelSet[T], mode Mode, m, n, k int, alpha T,
 			return finish(kern, telemetry.OutcomeOK, nil)
 		}
 	}
-
 	if cfg.Threads > 1 {
-		part := analytic.PartitionFor(m, n, cfg.Threads)
-		blocks := parallel.Blocks(m, n, part, effTile.MR, effTile.NR)
-		if len(blocks) > 1 {
-			pool := cfg.Pool
-			if pool == nil {
-				pool = parallel.NewPoolObserved(cfg.Threads, cfg.poolObserver())
-				defer pool.Close()
-			}
-			// Each task owns a disjoint C sub-block, so per-task error and
-			// degradation slots need no synchronization beyond the pool's
-			// join.
-			errs := make([]error, len(blocks))
-			degr := make([]bool, len(blocks))
-			tasks := make([]func(int), len(blocks))
-			for bi, blkC := range blocks {
-				bi, blkC := bi, blkC
-				tasks[bi] = func(worker int) {
-					degr[bi], errs[bi] = runGemmBlock(cfg, ks, plat, effTile, effBlk, mode, path,
-						blkC, worker, callTid, k, alpha, a, lda, b, ldb, beta, c, ldc)
-				}
-			}
-			barrierStart := tel.Now()
-			poolErr := pool.RunWorkerCfg(parallel.RunConfig{TaskBudget: cfg.Deadline}, tasks)
-			tel.Span(telemetry.PhaseBarrier, callTid, barrierStart, uint8(mode), prec, m, n, k)
-			if poolErr != nil {
-				// On a watchdog early return stragglers may still be writing
-				// their errs/degr slots; the pool error must win before those
-				// slices are read.
-				return report(false, poolErr)
-			}
-			degraded := false
-			for bi, err := range errs {
-				if err != nil {
-					return report(false, err)
-				}
-				degraded = degraded || degr[bi]
-			}
-			return report(degraded, nil)
+		if _, blocks := p.split(m, n, cfg.Threads); len(blocks) > 1 {
+			return report(runBlocks(cfg, ks, *p, blocks, tid, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc))
 		}
 	}
-	return report(runGemmBlock(cfg, ks, plat, effTile, effBlk, mode, path,
-		parallel.Block{I0: 0, J0: 0, M: m, N: n}, -1, callTid,
-		k, alpha, a, lda, b, ldb, beta, c, ldc))
+	return report(runBlock(cfg, ks, p, parallel.Block{M: m, N: n}, entry, tid, k, alpha, a, lda, b, ldb, beta, c, ldc))
 }
 
-// resolveOverride resolves the effective tile, blocking, breaker path and
-// kernel label for one call: the tuned dispatch override's when one is
-// installed for the (element size, shape class) key and its breaker is
-// serving (canary true while it is probing), the incumbent's otherwise —
-// including when the tuned breaker is open, which falls back to the
-// incumbent tile on the fast path, never the reference. Returning fresh
-// single-assignment values (instead of mutating the caller's) keeps the
-// caller's closure captures by-value, preserving the zero-alloc hot path.
-func resolveOverride(plat *platform.Platform, elemBytes int, class uint8, tile analytic.Tile, blk analytic.Blocking, famPath string) (analytic.Tile, analytic.Blocking, string, uint8, bool) {
-	ov, ok := guard.OverrideFor(elemBytes, class)
+// resolveOverride returns the tuned dispatch override installed for the
+// shape class, if any, applied to the incumbent plan p: the candidate's
+// tile, KC and private breaker path, with probing true while that breaker
+// probes. ok is false without an override — or with its breaker open,
+// possible only in the instant before Trip evicts it — and p then serves
+// unchanged on the fast path, never the reference.
+func resolveOverride(p *execPlan, class uint8) (tuned execPlan, probing, ok bool) {
+	ov, ok := guard.OverrideFor(p.elemBytes, class)
 	if !ok {
-		return tile, blk, famPath, telemetry.KernelFast, false
+		return tuned, false, false
 	}
-	ovTile := analytic.Tile{MR: ov.MR, NR: ov.NR}
-	ovBlk := blk
+	route, _ := heal.RouteFor(p.plat.Name, ov.Path)
+	if route == heal.RouteRef {
+		return tuned, false, false
+	}
+	tuned = *p
+	tuned.tile = analytic.Tile{MR: ov.MR, NR: ov.NR}
 	if ov.KC > 0 {
-		ovBlk.KC = ov.KC
+		tuned.blk.KC = ov.KC
 	}
-	switch route, _ := heal.RouteFor(plat.Name, ov.Path); route {
-	case heal.RouteCanary:
-		return ovTile, ovBlk, ov.Path, telemetry.KernelTuned, true
-	case heal.RouteFast:
-		return ovTile, ovBlk, ov.Path, telemetry.KernelTuned, false
-	}
-	return tile, blk, famPath, telemetry.KernelFast, false
+	tuned.path = ov.Path
+	return tuned, route == heal.RouteCanary, true
 }
 
-// runGemmBlock executes one C sub-block of a non-batch call through the
-// hardened block runner; operand origins shift per block and mode. worker <
-// 0 is the calling goroutine (single-threaded path). A plain function
-// rather than a shared closure: the threaded tasks above would make such a
-// closure escape, and that heap allocation would tax the single-threaded
-// hot path too.
-func runGemmBlock[T Float](cfg Config, ks kernelSet[T], plat *platform.Platform, tile analytic.Tile, blk analytic.Blocking, mode Mode, path string, bl parallel.Block, worker int, callTid int32, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) (bool, error) {
-	aOff, ldaEff := threadAOffset(mode, bl.I0, lda)
-	bOff := threadBOffset(mode, bl.J0, ldb)
-	return runBlock(cfg, ks, plat, tile, blk, mode, path, bl, -1,
-		telemetry.WorkerTid(worker, callTid), k,
-		alpha, a[aOff:], ldaEff, b[bOff:], ldb,
-		beta, c[bl.I0*ldc+bl.J0:], ldc)
+// runBlocks fans the C blocks of one threaded call out over the pool; each
+// block runs through the hardened block runner with its operand origins
+// shifted per block and mode. Every task owns a disjoint C sub-block, so
+// the per-task error and degradation slots need no synchronization beyond
+// the pool's join. p is a copy: the escaping tasks capture it, and a
+// captured pointer would move every caller's plan to the heap.
+func runBlocks[T Float](cfg Config, ks kernelSet[T], p execPlan, blocks []parallel.Block, callTid int32, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) (bool, error) {
+	pool := cfg.Pool
+	if pool == nil {
+		pool = parallel.NewPoolObserved(cfg.Threads, cfg.poolObserver())
+		defer pool.Close()
+	}
+	errs := make([]error, len(blocks))
+	degr := make([]bool, len(blocks))
+	tasks := make([]func(int), len(blocks))
+	for bi, bl := range blocks {
+		tasks[bi] = func(worker int) {
+			aOff, ldaEff := threadAOffset(p.mode, bl.I0, lda)
+			bOff := threadBOffset(p.mode, bl.J0, ldb)
+			degr[bi], errs[bi] = runBlock(cfg, ks, &p, bl, -1, telemetry.WorkerTid(worker, callTid), k,
+				alpha, a[aOff:], ldaEff, b[bOff:], ldb, beta, c[bl.I0*ldc+bl.J0:], ldc)
+		}
+	}
+	tel := cfg.Tel
+	barrierStart := tel.Now()
+	poolErr := pool.RunWorkerCfg(parallel.RunConfig{TaskBudget: cfg.Deadline}, tasks)
+	tel.Span(telemetry.PhaseBarrier, callTid, barrierStart, uint8(p.mode), telemetry.PrecFor(ks.elemBytes), m, n, k)
+	if poolErr != nil {
+		// On a watchdog early return stragglers may still be writing their
+		// errs/degr slots; the pool error must win before those slices are
+		// read.
+		return false, poolErr
+	}
+	degraded := false
+	for bi, err := range errs {
+		if err != nil {
+			return false, err
+		}
+		degraded = degraded || degr[bi]
+	}
+	return degraded, nil
 }
 
 // threadAOffset returns the element offset into A for a thread whose C block
@@ -375,25 +373,18 @@ func scaleAll[T Float](ks kernelSet[T], m, n int, beta T, c []T, ldc int) {
 	ks.scale(m, n, beta, c, ldc)
 }
 
-// gemmST is the single-threaded Algorithm 1 loop nest for one C block. tel
-// and tid carry the telemetry recorder (nil when disabled) and the trace
-// lane of the executing worker; spans are recorded per kc-block — pack
-// spans around the explicit A gather, kernel-batch spans around the
-// micro-tile sweep (which includes the §5.3 fused B packing) — coarse
-// enough to stay off the micro-tile critical path.
-func gemmST[T Float](tel *telemetry.Recorder, tid int32, ks kernelSet[T], plat *platform.Platform, tile analytic.Tile, blk analytic.Blocking, mode Mode, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
-	mr, nr := tile.MR, tile.NR
-	mc, kc, nc := blk.MC, blk.KC, blk.NC
+// gemmST is the single-threaded Algorithm 1 loop nest for one C block
+// under plan p. tel and tid carry the telemetry recorder (nil when
+// disabled) and the trace lane of the executing worker; spans are recorded
+// per kc-block — pack spans around the explicit A gather, kernel-batch
+// spans around the micro-tile sweep (which includes the §5.3 fused B
+// packing) — coarse enough to stay off the micro-tile critical path.
+func gemmST[T Float](tel *telemetry.Recorder, tid int32, ks kernelSet[T], p *execPlan, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
+	mode := p.mode
+	mr, nr := p.tile.MR, p.tile.NR
+	mc, kc, nc := p.blk.MC, p.blk.KC, p.blk.NC
 	prec := telemetry.PrecFor(ks.elemBytes)
-
-	// §4.2 packing decision for B (NN/TN); NT/TT always pack (§4.3).
-	sizeB := n * k * ks.elemBytes
-	var bStrategy pack.Strategy
-	if mode.TransB() {
-		bStrategy = pack.ShouldPackBNT()
-	} else {
-		bStrategy = pack.ShouldPackBNN(sizeB, plat.L1.SizeBytes)
-	}
+	bStrategy := p.packB(n, k)
 
 	var bc []T
 	if bStrategy != pack.NoPack {

@@ -289,6 +289,9 @@ func TestConfigDefaults(t *testing.T) {
 	if (Config{}).platform().Name != "Kunpeng 920" {
 		t.Fatal("default platform wrong")
 	}
+	if (Config{}).platform() != (Config{}).platform() {
+		t.Fatal("default platform rebuilt on every call")
+	}
 	ph := platform.Phytium2000()
 	if (Config{Plat: ph}).platform() != ph {
 		t.Fatal("explicit platform ignored")

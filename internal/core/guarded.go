@@ -5,12 +5,10 @@ import (
 	"math"
 	"runtime/debug"
 
-	"libshalom/internal/analytic"
 	"libshalom/internal/faults"
 	"libshalom/internal/guard"
 	"libshalom/internal/heal"
 	"libshalom/internal/parallel"
-	"libshalom/internal/platform"
 	"libshalom/internal/telemetry"
 )
 
@@ -31,19 +29,20 @@ import (
 // test armed them), so the chaos suite exercises exactly the machinery
 // production calls use.
 
-// runBlock executes the fast path for one C block with panic isolation and
-// (optionally) the numeric guard. a, b and c are the block-relative operand
-// views the caller derived (the same views gemmST consumes); bl carries the
-// absolute block coordinates for error reporting, entry the batch entry
-// index (-1 outside batch calls), and tid the trace lane of the executing
-// worker. path names the breaker a demotion trips: the kernel family's path
-// for incumbent executions, or a tuned override's private path — tripping
-// the latter evicts only that override (guard.Trip), leaving the family
-// serving on the incumbent tile. The first return value reports whether the
-// block was recomputed on the reference path after a demotion (the call
-// degraded but succeeded).
-func runBlock[T Float](cfg Config, ks kernelSet[T], plat *platform.Platform, tile analytic.Tile, blk analytic.Blocking, mode Mode, path string, bl parallel.Block, entry int, tid int32, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) (degraded bool, err error) {
+// runBlock executes the fast path for one C block under plan p with panic
+// isolation and (optionally) the numeric guard. a, b and c are the
+// block-relative operand views the caller derived (the same views gemmST
+// consumes); bl carries the absolute block coordinates for error reporting,
+// entry the batch entry index (-1 outside batch calls), and tid the trace
+// lane of the executing worker. p.path names the breaker a demotion trips:
+// the kernel family's path for incumbent executions, or a tuned override's
+// private path — tripping the latter evicts only that override
+// (guard.Trip), leaving the family serving on the incumbent tile. The first
+// return value reports whether the block was recomputed on the reference
+// path after a demotion (the call degraded but succeeded).
+func runBlock[T Float](cfg Config, ks kernelSet[T], p *execPlan, bl parallel.Block, entry int, tid int32, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) (degraded bool, err error) {
 	tel := cfg.Tel
+	mode := p.mode
 	m, n := bl.M, bl.N
 	blockStart := tel.Now()
 	defer func() {
@@ -65,12 +64,12 @@ func runBlock[T Float](cfg Config, ks kernelSet[T], plat *platform.Platform, til
 	} else if cfg.RetryTransient && beta != 0 {
 		snap = snapshotC(c, m, n, ldc)
 	}
-	panicErr := protect(plat, mode, ks.elemBytes, bl, entry, func() {
+	panicErr := protect(p, bl, entry, func() {
 		if faults.Fire(faults.PanicInKernel) {
 			tel.FaultInjected(faults.PanicInKernel)
 			panic(faults.InjectedPanicMsg)
 		}
-		gemmST(tel, tid, ksEff, plat, tile, blk, mode, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+		gemmST(tel, tid, ksEff, p, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 		if cfg.NumericGuard && faults.Fire(faults.SpuriousNaN) {
 			tel.FaultInjected(faults.SpuriousNaN)
 			c[0] = T(math.NaN())
@@ -86,7 +85,7 @@ func runBlock[T Float](cfg Config, ks kernelSet[T], plat *platform.Platform, til
 	// when several blocks of one call fail concurrently (Trip reports
 	// whether this call recorded the trip).
 	trip := func(reason guard.Reason, detail string, degr uint8) {
-		if heal.Trip(plat.Name, path, reason, detail, shape()) {
+		if heal.Trip(p.plat.Name, p.path, reason, detail, shape()) {
 			tel.HealEvent(telemetry.HealBreakerOpen)
 			tel.BreakerTransition(telemetry.BreakerHealthy, telemetry.BreakerOpen)
 		}
@@ -112,14 +111,15 @@ func runBlock[T Float](cfg Config, ks kernelSet[T], plat *platform.Platform, til
 	return true, nil
 }
 
-// protect runs f, converting a panic into a structured KernelPanicError.
-func protect(plat *platform.Platform, mode Mode, elemBytes int, bl parallel.Block, entry int, f func()) (err error) {
+// protect runs f, converting a panic into a structured KernelPanicError
+// naming the plan's kernel family.
+func protect(p *execPlan, bl parallel.Block, entry int, f func()) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &guard.KernelPanicError{
-				Platform: plat.Name,
-				Mode:     mode.String(),
-				Kernel:   guard.PathFor(elemBytes),
+				Platform: p.plat.Name,
+				Mode:     p.mode.String(),
+				Kernel:   guard.PathFor(p.elemBytes),
 				I0:       bl.I0, J0: bl.J0, M: bl.M, N: bl.N,
 				Entry: entry,
 				Value: r,

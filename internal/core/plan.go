@@ -5,8 +5,10 @@ import (
 	"strings"
 
 	"libshalom/internal/analytic"
+	"libshalom/internal/guard"
 	"libshalom/internal/pack"
 	"libshalom/internal/parallel"
+	"libshalom/internal/platform"
 	"libshalom/internal/telemetry"
 )
 
@@ -14,7 +16,7 @@ import (
 // before any arithmetic happens: the micro-kernel tile, the blocking, the
 // §4 packing strategy, the §5.3.2 lookahead depth, and the §6 parallel
 // partition. It exists for introspection (tools, tests, documentation);
-// the driver derives the same quantities internally.
+// the driver and PlanFor share one derivation (derivePlan).
 //
 // For parallel calls the packing decision is re-evaluated per thread on the
 // thread's sub-block; Plan reports the decision for the whole problem and
@@ -47,30 +49,24 @@ type Plan struct {
 // PlanFor computes the execution plan the driver would follow.
 func PlanFor(cfg Config, mode Mode, m, n, k, elemBytes int) Plan {
 	plat := cfg.platform()
+	x := derivePlan(plat, mode, elemBytes)
 	p := Plan{
 		Mode:       mode,
 		ElemBytes:  elemBytes,
-		Tile:       analytic.SolveForElem(elemBytes),
-		Blocking:   analytic.BlockingFor(plat, elemBytes),
+		Tile:       x.tile,
+		Blocking:   x.blk,
 		ShapeClass: telemetry.ClassifyShape(m, n, k),
+		BStrategy:  x.packB(n, k),
+		Depth:      pack.DepthFor(n*k*elemBytes, plat.LLC().SizeBytes),
 		PackA:      mode.TransA(),
 		Threads:    1,
+		Partition:  analytic.Partition{TM: 1, TN: 1},
 	}
-	decide := func(nn, kk int) pack.Strategy {
-		if mode.TransB() {
-			return pack.ShouldPackBNT()
-		}
-		return pack.ShouldPackBNN(nn*kk*elemBytes, plat.L1.SizeBytes)
-	}
-	p.BStrategy = decide(n, k)
-	p.Depth = pack.DepthFor(n*k*elemBytes, plat.LLC().SizeBytes)
 	p.ThreadBlockM, p.ThreadBlockN = m, n
 	p.ThreadBStrategy = p.BStrategy
-	p.Partition = analytic.Partition{TM: 1, TN: 1}
 
 	if cfg.Threads > 1 && m > 0 && n > 0 {
-		part := analytic.PartitionFor(m, n, cfg.Threads)
-		blocks := parallel.Blocks(m, n, part, p.Tile.MR, p.Tile.NR)
+		part, blocks := x.split(m, n, cfg.Threads)
 		if len(blocks) > 1 {
 			p.Threads = cfg.Threads
 			p.Partition = part
@@ -81,10 +77,53 @@ func PlanFor(cfg Config, mode Mode, m, n, k, elemBytes int) Plan {
 				}
 			}
 			p.ThreadBlockM, p.ThreadBlockN = worst.M, worst.N
-			p.ThreadBStrategy = decide(worst.N, k)
+			p.ThreadBStrategy = x.packB(worst.N, k)
 		}
 	}
 	return p
+}
+
+// execPlan is the driver's per-call decision sequence (Alg. 1), derived in
+// one place for single calls, batches and PlanFor: the §5.2 tile, the §5.5
+// blocking and the breaker path they run under, with the per-problem §4
+// packing choice and §6 partition as methods. A tuned dispatch override
+// substitutes the tile, KC and path (resolveOverride). The driver passes it
+// by pointer: it is copied only where a tuned tile or a threaded fan-out
+// needs a copy of its own.
+type execPlan struct {
+	plat      *platform.Platform
+	mode      Mode
+	elemBytes int
+	tile      analytic.Tile
+	blk       analytic.Blocking
+	path      string
+}
+
+func derivePlan(plat *platform.Platform, mode Mode, elemBytes int) execPlan {
+	return execPlan{
+		plat:      plat,
+		mode:      mode,
+		elemBytes: elemBytes,
+		tile:      analytic.SolveForElem(elemBytes),
+		blk:       analytic.BlockingFor(plat, elemBytes),
+		path:      guard.PathFor(elemBytes),
+	}
+}
+
+// packB is the §4 packing decision for an n-column, k-deep B operand: NN/TN
+// pack only when B overflows L1 (§4.2), NT/TT always pack (§4.3).
+func (p *execPlan) packB(n, k int) pack.Strategy {
+	if p.mode.TransB() {
+		return pack.ShouldPackBNT()
+	}
+	return pack.ShouldPackBNN(n*k*p.elemBytes, p.plat.L1.SizeBytes)
+}
+
+// split is the §6 partition of an m×n problem over threads and the C
+// blocks it yields, aligned to the plan's tile.
+func (p *execPlan) split(m, n, threads int) (analytic.Partition, []parallel.Block) {
+	part := analytic.PartitionFor(m, n, threads)
+	return part, parallel.Blocks(m, n, part, p.tile.MR, p.tile.NR)
 }
 
 // String renders the plan for humans.

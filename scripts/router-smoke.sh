@@ -94,13 +94,21 @@ if [ "$STATUS" -ne 0 ]; then
     exit 1
 fi
 
-fetch "http://$RADDR/metrics" >"$TMP/metrics-after-kill.txt"
-EJECT=$(sed -n 's/^libshalom_router_ejections_total \([0-9][0-9]*\)$/\1/p' "$TMP/metrics-after-kill.txt")
-if [ -z "$EJECT" ] || [ "$EJECT" -lt 1 ]; then
-    echo "router-smoke: FAIL: no ejection recorded after the kill (ejections_total=$EJECT)" >&2
-    cat "$TMP/metrics-after-kill.txt" >&2
-    exit 1
-fi
+# The storm can finish before the prober has counted eject-threshold failed
+# probes against the corpse, so poll for the ejection with a deadline.
+i=0
+while :; do
+    fetch "http://$RADDR/metrics" >"$TMP/metrics-after-kill.txt" 2>/dev/null || true
+    EJECT=$(sed -n 's/^libshalom_router_ejections_total \([0-9][0-9]*\)$/\1/p' "$TMP/metrics-after-kill.txt")
+    [ -n "$EJECT" ] && [ "$EJECT" -ge 1 ] && break
+    i=$((i + 1))
+    if [ "$i" -gt 100 ]; then
+        echo "router-smoke: FAIL: no ejection recorded after the kill (ejections_total=$EJECT)" >&2
+        cat "$TMP/metrics-after-kill.txt" >&2
+        exit 1
+    fi
+    sleep 0.1
+done
 echo "router-smoke: backend ejected (ejections_total=$EJECT)"
 
 echo "router-smoke: restarting backend 1 on its old port $A1"
