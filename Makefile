@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench-test vet staticlint race lint check fuzz test-chaos test-soak probe trace-smoke serve-smoke journal-smoke attrib-smoke router-smoke tune-smoke
+.PHONY: build test bench-test bench-smoke vet staticlint race lint check fuzz test-chaos test-soak probe trace-smoke serve-smoke journal-smoke attrib-smoke router-smoke tune-smoke
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,13 @@ test:
 # span join) and its build run here against the library in this checkout.
 bench-test:
 	cd shalombench && $(GO) test ./...
+
+# Host kernel speed gate: single-threaded NN SGEMM at 32³, 64³ and 120³
+# must beat the naive ikj loop (library/ikj throughput ≥ 1.0, each side the
+# minimum of 5 timings in one process); writes BENCH_kernels.json. Timing
+# is noisy on shared hosts, so this stays outside check and tier-1.
+bench-smoke:
+	SHALOM_BENCH_SMOKE=1 $(GO) test -count=1 -cpu 1 -run TestBenchSmoke -v .
 
 # The concurrency-sensitive packages run again under the race detector:
 # the thread pool, the blocked GEMM driver that feeds it, the public API,

@@ -46,8 +46,44 @@ func benchSGEMM(b *testing.B, mode Mode, m, n, k, threads int) {
 
 func BenchmarkSGEMMSmall8(b *testing.B)    { benchSGEMM(b, NN, 8, 8, 8, 1) }
 func BenchmarkSGEMMSmall32(b *testing.B)   { benchSGEMM(b, NN, 32, 32, 32, 1) }
+func BenchmarkSGEMMSmall64(b *testing.B)   { benchSGEMM(b, NN, 64, 64, 64, 1) }
 func BenchmarkSGEMMSmall120(b *testing.B)  { benchSGEMM(b, NN, 120, 120, 120, 1) }
 func BenchmarkSGEMMSmall32NT(b *testing.B) { benchSGEMM(b, NT, 32, 32, 32, 1) }
+
+// The naive ikj loop is the simplest thing that could replace the
+// library's single-threaded NN path; `make bench-smoke` requires the
+// library to beat it (TestBenchSmoke).
+func BenchmarkIKJSmall32(b *testing.B)  { benchIKJ(b, 32) }
+func BenchmarkIKJSmall64(b *testing.B)  { benchIKJ(b, 64) }
+func BenchmarkIKJSmall120(b *testing.B) { benchIKJ(b, 120) }
+
+func benchIKJ(b *testing.B, n int) {
+	b.Helper()
+	rng := mat.NewRNG(1)
+	A := mat.RandomF32(n, n, rng)
+	B := mat.RandomF32(n, n, rng)
+	C := mat.NewF32(n, n)
+	b.SetBytes(int64(2 * n * n * n)) // flops reported as "bytes" throughput
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ikjSGEMM(n, n, n, A.Data, A.Stride, B.Data, B.Stride, C.Data, C.Stride)
+	}
+}
+
+// ikjSGEMM computes C = A·B for row-major operands with the row of C
+// innermost: each A(i,p) scales one contiguous row of B into row i of C.
+func ikjSGEMM(m, n, k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
+	for i := 0; i < m; i++ {
+		ci := c[i*ldc : i*ldc+n]
+		clear(ci)
+		for p := 0; p < k; p++ {
+			aip := a[i*lda+p]
+			for j, bv := range b[p*ldb : p*ldb+n] {
+				ci[j] += aip * bv
+			}
+		}
+	}
+}
 
 func BenchmarkSGEMMIrregular(b *testing.B)         { benchSGEMM(b, NT, 32, 2048, 512, 1) }
 func BenchmarkSGEMMIrregularParallel(b *testing.B) { benchSGEMM(b, NT, 64, 4096, 576, 0) }
@@ -158,8 +194,10 @@ func BenchmarkFig14CP2K(b *testing.B)                { benchExperiment(b, "fig14
 func BenchmarkFig15VGG(b *testing.B)                 { benchExperiment(b, "fig15") }
 
 // BenchmarkMicroKernels measures the wall-clock throughput of the Go
-// compute micro-kernels themselves: the specialized 7×12 path against the
-// generic fallback on the same tile, and the FP64 7×6 kernel.
+// compute micro-kernels themselves on the plans' modelled tiles with
+// L1-resident operands: the FP32 7×12 tile, a 7×11 edge tile of comparable
+// work, and the FP64 7×6 tile, each in the NN (outer-product) and NT
+// (inner-product) form.
 func BenchmarkMicroKernels(b *testing.B) {
 	rng := mat.NewRNG(4)
 	kc := 256
@@ -172,18 +210,22 @@ func BenchmarkMicroKernels(b *testing.B) {
 	for i := range b32 {
 		b32[i] = rng.Float32()
 	}
-	flops := int64(2 * 7 * 12 * kc)
-	b.Run("sgemm7x12-specialized", func(b *testing.B) {
-		b.SetBytes(flops)
+	b.Run("sgemm7x12", func(b *testing.B) {
+		b.SetBytes(int64(2 * 7 * 12 * kc))
 		for i := 0; i < b.N; i++ {
 			kernels.SGEMMMicro(7, 12, kc, 1, a32, kc, b32, 12, 0, c32, 12)
 		}
 	})
-	b.Run("sgemm7x11-generic", func(b *testing.B) {
-		// One column narrower forces the generic path on comparable work.
+	b.Run("sgemm7x11-edge", func(b *testing.B) {
 		b.SetBytes(int64(2 * 7 * 11 * kc))
 		for i := 0; i < b.N; i++ {
 			kernels.SGEMMMicro(7, 11, kc, 1, a32, kc, b32, 12, 0, c32, 12)
+		}
+	})
+	b.Run("sgemm7x12-nt", func(b *testing.B) {
+		b.SetBytes(int64(2 * 7 * 12 * kc))
+		for i := 0; i < b.N; i++ {
+			kernels.SGEMMMicroNT(7, 12, kc, 1, a32, kc, b32, kc, 0, c32, 12)
 		}
 	})
 	a64 := make([]float64, 7*kc)
@@ -195,10 +237,16 @@ func BenchmarkMicroKernels(b *testing.B) {
 	for i := range b64 {
 		b64[i] = rng.Float64()
 	}
-	b.Run("dgemm7x6-specialized", func(b *testing.B) {
+	b.Run("dgemm7x6", func(b *testing.B) {
 		b.SetBytes(int64(2 * 7 * 6 * kc))
 		for i := 0; i < b.N; i++ {
 			kernels.DGEMMMicro(7, 6, kc, 1, a64, kc, b64, 6, 0, c64, 6)
+		}
+	})
+	b.Run("dgemm7x6-nt", func(b *testing.B) {
+		b.SetBytes(int64(2 * 7 * 6 * kc))
+		for i := 0; i < b.N; i++ {
+			kernels.DGEMMMicroNT(7, 6, kc, 1, a64, kc, b64, kc, 0, c64, 6)
 		}
 	})
 }

@@ -160,7 +160,9 @@ func gemmBatch[T Float](ctx context.Context, cfg Config, ks kernelSet[T], mode M
 	pool := cfg.Pool
 	if pool == nil {
 		pool = parallel.NewPoolObserved(threads, cfg.poolObserver())
-		defer pool.Close()
+		// A watchdog early return leaves the stuck task and the feeder
+		// running; the pool closes once they stop.
+		defer pool.CloseWhenIdle()
 	}
 	// Chunk entries so tiny problems do not drown in task dispatch.
 	chunk := (len(batch) + threads*4 - 1) / (threads * 4)

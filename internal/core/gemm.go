@@ -315,7 +315,9 @@ func runBlocks[T Float](cfg Config, ks kernelSet[T], p execPlan, blocks []parall
 	pool := cfg.Pool
 	if pool == nil {
 		pool = parallel.NewPoolObserved(cfg.Threads, cfg.poolObserver())
-		defer pool.Close()
+		// A watchdog early return leaves the stuck task and the feeder
+		// running; the pool closes once they stop.
+		defer pool.CloseWhenIdle()
 	}
 	errs := make([]error, len(blocks))
 	degr := make([]bool, len(blocks))
@@ -386,13 +388,15 @@ func gemmST[T Float](tel *telemetry.Recorder, tid int32, ks kernelSet[T], p *exe
 	prec := telemetry.PrecFor(ks.elemBytes)
 	bStrategy := p.packB(n, k)
 
+	// The buffers hold one kc×nr B sliver and one mc×kc A block, clamped
+	// to the problem: a 4³ call must not allocate KP920's 431-deep panels.
 	var bc []T
 	if bStrategy != pack.NoPack {
-		bc = make([]T, kc*nr)
+		bc = make([]T, min(kc, k)*nr)
 	}
 	var aBuf []T
 	if mode.TransA() {
-		aBuf = make([]T, mc*kc)
+		aBuf = make([]T, min(mc, m)*min(kc, k))
 	}
 
 	for jj := 0; jj < n; jj += nc {

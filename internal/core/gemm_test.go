@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -296,4 +297,54 @@ func TestConfigDefaults(t *testing.T) {
 	if (Config{Plat: ph}).platform() != ph {
 		t.Fatal("explicit platform ignored")
 	}
+}
+
+// TestSmallCallPackBuffersSizedByProblem pins gemmST's pack buffers to the
+// problem rather than the blocking: an 8³ call holds at most one 8×nr B
+// sliver and one 8×8 A block, where sizing them by KP920's kc = 431 and
+// mc = 147 allocated about 250 KB per TN/TT call.
+func TestSmallCallPackBuffersSizedByProblem(t *testing.T) {
+	const n = 8
+	cfg := Config{Plat: platform.KP920(), Threads: 1}
+	for _, mode := range Modes() {
+		// Square operands have the same stored shape in every mode.
+		rng := mat.NewRNG(uint64(mode) + 31)
+		a, b, c := mat.RandomF32(n, n, rng), mat.RandomF32(n, n, rng), mat.RandomF32(n, n, rng)
+		a64, b64, c64 := mat.RandomF64(n, n, rng), mat.RandomF64(n, n, rng), mat.RandomF64(n, n, rng)
+		for _, tc := range []struct {
+			prec     string
+			maxBytes uint64 // nr = 12 (f32) / 6 (f64): (8·nr + 8·8) elements
+			call     func() error
+		}{
+			{"f32", 4 * (8*12 + 8*8), func() error {
+				return SGEMM(cfg, mode, n, n, n, 1, a.Data, a.Stride, b.Data, b.Stride, 0, c.Data, c.Stride)
+			}},
+			{"f64", 8 * (8*6 + 8*8), func() error {
+				return DGEMM(cfg, mode, n, n, n, 1, a64.Data, a64.Stride, b64.Data, b64.Stride, 0, c64.Data, c64.Stride)
+			}},
+		} {
+			if err := tc.call(); err != nil {
+				t.Fatalf("%s %v: %v", tc.prec, mode, err)
+			}
+			allocs, bytes := allocsAndBytesPerRun(200, func() { _ = tc.call() })
+			if allocs > 2 || bytes > tc.maxBytes {
+				t.Errorf("%s %v 8³: %.1f allocs and %d B per call, want ≤ 2 and ≤ %d B",
+					tc.prec, mode, allocs, bytes, tc.maxBytes)
+			}
+		}
+	}
+}
+
+// allocsAndBytesPerRun is testing.AllocsPerRun plus the heap bytes
+// allocated per run.
+func allocsAndBytesPerRun(runs int, f func()) (allocs float64, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs),
+		(after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

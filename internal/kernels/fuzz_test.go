@@ -10,8 +10,9 @@ import (
 )
 
 // TestFuzzMainSpecs drives BuildMain through random feasible specs and, for
-// each, (a) runs the static analyzer's kernel invariants and (b) executes
-// the program functionally against the Go micro-kernel.
+// each, (a) runs the static analyzer's kernel invariants, (b) executes the
+// program functionally against the Go micro-kernel and (c) requires the Go
+// micro-kernel to match the k-ordered oracle bit for bit.
 func TestFuzzMainSpecs(t *testing.T) {
 	f := func(seed uint32) bool {
 		rng := mat.NewRNG(uint64(seed) + 12345)
@@ -72,7 +73,13 @@ func TestFuzzMainSpecs(t *testing.T) {
 			if spec.Accumulate {
 				beta = 1
 			}
+			cOracle := append([]float32(nil), c...)
+			oracleNN(mr, nr, kc, 1, a, lda, b, ldb, beta, cOracle, ldc)
 			SGEMMMicro(mr, nr, kc, 1, a, lda, b, ldb, beta, c, ldc)
+			if i := firstBitDiff(c, cOracle); i >= 0 {
+				t.Logf("spec %+v: Go kernel C[%d] = %v, oracle %v", spec, i, c[i], cOracle[i])
+				return false
+			}
 			for i := 0; i < mr; i++ {
 				for j := 0; j < nr; j++ {
 					d := cISA[i*ldc+j] - c[i*ldc+j]
@@ -100,7 +107,13 @@ func TestFuzzMainSpecs(t *testing.T) {
 			if spec.Accumulate {
 				beta = 1
 			}
+			cOracle := append([]float64(nil), c...)
+			oracleNN(mr, nr, kc, 1, a, lda, b, ldb, beta, cOracle, ldc)
 			DGEMMMicro(mr, nr, kc, 1, a, lda, b, ldb, beta, c, ldc)
+			if i := firstBitDiff(c, cOracle); i >= 0 {
+				t.Logf("spec %+v: Go kernel C[%d] = %v, oracle %v", spec, i, c[i], cOracle[i])
+				return false
+			}
 			for i := 0; i < mr; i++ {
 				for j := 0; j < nr; j++ {
 					d := cISA[i*ldc+j] - c[i*ldc+j]
@@ -118,7 +131,7 @@ func TestFuzzMainSpecs(t *testing.T) {
 }
 
 // TestFuzzNTPackSpecs drives BuildNTPack through random feasible specs with
-// the same analyzer + functional checks.
+// the same analyzer, functional and bitwise oracle checks.
 func TestFuzzNTPackSpecs(t *testing.T) {
 	f := func(seed uint32) bool {
 		rng := mat.NewRNG(uint64(seed)*7 + 99)
@@ -166,7 +179,13 @@ func TestFuzzNTPackSpecs(t *testing.T) {
 		if spec.Accum {
 			beta = 1
 		}
+		cOracle := append([]float32(nil), c...)
+		oracleNT(mr, nb, kc, 1, a, spec.LDA, bT, spec.LDBT, beta, cOracle[jOff:], spec.LDC)
 		SGEMMMicroNTPack(mr, nb, kc, 1, a, spec.LDA, bT, spec.LDBT, beta, c[jOff:], spec.LDC, bcGo, nrTotal, jOff)
+		if i := firstBitDiff(c, cOracle); i >= 0 {
+			t.Logf("spec %+v: Go kernel C[%d] = %v, oracle %v", spec, i, c[i], cOracle[i])
+			return false
+		}
 		for i := 0; i < mr; i++ {
 			for j := 0; j < nb; j++ {
 				d := cISA[i*spec.LDC+jOff+j] - c[jOff+i*spec.LDC+j]
@@ -205,4 +224,23 @@ func TestAnalyzerOnEdgeKernels(t *testing.T) {
 			t.Fatalf("%v edge kernel peak live %d", sched, rep.PeakLive)
 		}
 	}
+}
+
+// FuzzMicroKernelsBitExact feeds arbitrary tile shapes, panel depths,
+// leading-dimension padding and scalars to the four Go kernels and the pack
+// wrappers, requiring bit equality with the k-ordered oracles (the seed
+// corpus runs in go test; go test -fuzz explores further).
+func FuzzMicroKernelsBitExact(f *testing.F) {
+	f.Add(uint64(1), uint8(7), uint8(12), uint16(256), uint8(0), 1.0, 0.0)
+	f.Add(uint64(2), uint8(7), uint8(6), uint16(431), uint8(3), -0.5, 1.0)
+	f.Add(uint64(3), uint8(1), uint8(1), uint16(1), uint8(1), 2.0, 0.5)
+	f.Add(uint64(4), uint8(8), uint8(13), uint16(17), uint8(5), 1.5, -2.0)
+	f.Fuzz(func(t *testing.T, seed uint64, mr, nr uint8, kc uint16, pad uint8, alpha, beta float64) {
+		tc := microCase{mr: int(mr%9) + 1, nr: int(nr%14) + 1, kc: int(kc%512) + 1, alpha: alpha, beta: beta}
+		p := int(pad % 8)
+		tc.lda, tc.ldb, tc.ldbT, tc.ldc = tc.kc+p, tc.nr+p, tc.kc+p/2, tc.nr+p/3
+		rng := mat.NewRNG(seed)
+		checkBitExact(t, "f32", f32Set, tc, rng)
+		checkBitExact(t, "f64", f64Set, tc, rng)
+	})
 }

@@ -114,6 +114,12 @@ type Pool struct {
 	tasks   chan func(worker int)
 	closed  atomic.Bool
 	obs     Observer // nil: scheduling is not instrumented
+
+	// idleMu guards the count of Run calls whose tasks have not all
+	// finished or been skipped, and the CloseWhenIdle request.
+	idleMu      sync.Mutex
+	running     int
+	closeOnIdle bool
 }
 
 // NewPool starts a pool with the given number of worker goroutines
@@ -246,6 +252,7 @@ func (p *Pool) RunWorkerCfg(rc RunConfig, tasks []func(worker int)) error {
 		starts = make([]atomic.Int64, len(tasks))
 	}
 	wg.Add(len(tasks))
+	p.runStarted()
 	go func() {
 		handed := 0
 		// A Close racing an in-flight Run (a documented misuse) panics the
@@ -316,6 +323,7 @@ func (p *Pool) RunWorkerCfg(rc RunConfig, tasks []func(worker int)) error {
 	}()
 	if !watched {
 		wg.Wait()
+		p.runFinished()
 		return firstError()
 	}
 	// Watchdog join: wait for completion, but scan in-flight tasks every
@@ -324,6 +332,7 @@ func (p *Pool) RunWorkerCfg(rc RunConfig, tasks []func(worker int)) error {
 	done := make(chan struct{})
 	go func() {
 		wg.Wait()
+		p.runFinished()
 		close(done)
 	}()
 	tick := rc.TaskBudget / 4
@@ -351,6 +360,42 @@ func (p *Pool) RunWorkerCfg(rc RunConfig, tasks []func(worker int)) error {
 				return firstError()
 			}
 		}
+	}
+}
+
+// runStarted counts a Run call in; runFinished counts it out once its last
+// task has finished or been skipped. Every send of the call's feeder
+// happens before that point, so a close after it cannot race a send.
+func (p *Pool) runStarted() {
+	p.idleMu.Lock()
+	p.running++
+	p.idleMu.Unlock()
+}
+
+func (p *Pool) runFinished() {
+	p.idleMu.Lock()
+	p.running--
+	idle := p.running == 0 && p.closeOnIdle
+	p.idleMu.Unlock()
+	if idle {
+		p.Close()
+	}
+}
+
+// CloseWhenIdle closes the pool once every Run call on it has finished —
+// at once when none is in flight, otherwise when the last one's feeder has
+// handed out or skipped every task and every started task has returned —
+// without waiting for that itself. It is how a pool owned by one call is
+// released: after a watchdog early return the stuck task, and the feeder
+// behind it, may still be running, and a plain Close would race the
+// feeder's send. No Run may start after CloseWhenIdle.
+func (p *Pool) CloseWhenIdle() {
+	p.idleMu.Lock()
+	p.closeOnIdle = true
+	idle := p.running == 0
+	p.idleMu.Unlock()
+	if idle {
+		p.Close()
 	}
 }
 

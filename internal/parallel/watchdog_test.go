@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,10 +16,7 @@ import (
 // stuck task drains.
 func TestWatchdogConvertsStuckTask(t *testing.T) {
 	p := NewPool(2)
-	defer func() {
-		time.Sleep(250 * time.Millisecond) // let the straggler drain before Close
-		p.Close()
-	}()
+	defer p.CloseWhenIdle() // the straggler is still running
 	const budget = 20 * time.Millisecond
 	var fastRan atomic.Int32
 	tasks := []func(int){
@@ -126,5 +124,60 @@ func TestExpiredContextFailsFast(t *testing.T) {
 	}
 	if ran.Load() != 0 {
 		t.Fatal("task dispatched on an expired context")
+	}
+}
+
+// Regression: a call-owned pool released right after a watchdog early
+// return used to be closed while its feeder was still blocked sending the
+// next task — a send/close race the race detector reports, recovered as
+// ErrClosed. CloseWhenIdle defers the close until the feeder and the stuck
+// task have stopped. Run under -race.
+func TestCloseWhenIdleAfterWatchdogReturn(t *testing.T) {
+	for iter := 0; iter < 20; iter++ {
+		p := NewPool(1)
+		release := make(chan struct{})
+		var ran atomic.Int32
+		tasks := make([]func(int), 8)
+		tasks[0] = func(int) { <-release } // stuck until released
+		for i := 1; i < len(tasks); i++ {
+			tasks[i] = func(int) { ran.Add(1) }
+		}
+		// One worker holds the stuck task, so the feeder blocks sending
+		// task 1 when the watchdog returns.
+		err := p.RunWorkerCfg(RunConfig{TaskBudget: time.Millisecond}, tasks)
+		var swe *guard.StuckWorkerError
+		if !errors.As(err, &swe) {
+			t.Fatalf("err = %v (%T), want *guard.StuckWorkerError", err, err)
+		}
+		p.CloseWhenIdle()
+		if p.Closed() {
+			t.Fatal("pool closed while its stuck task and feeder were still running")
+		}
+		close(release)
+		deadline := time.Now().Add(10 * time.Second)
+		for !p.Closed() {
+			if time.Now().After(deadline) {
+				t.Fatal("pool never closed after its last task returned")
+			}
+			runtime.Gosched()
+		}
+		if n := ran.Load(); n != 0 {
+			t.Fatalf("%d tasks ran after the watchdog failed the run", n)
+		}
+	}
+}
+
+// CloseWhenIdle on an idle pool closes it at once.
+func TestCloseWhenIdleOnIdlePool(t *testing.T) {
+	p := NewPool(2)
+	if err := p.RunWorker([]func(int){func(int) {}}); err != nil {
+		t.Fatal(err)
+	}
+	p.CloseWhenIdle()
+	if !p.Closed() {
+		t.Fatal("idle pool not closed")
+	}
+	if err := p.RunWorker([]func(int){func(int) {}}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Run after CloseWhenIdle: err = %v, want ErrClosed", err)
 	}
 }

@@ -79,7 +79,14 @@ type coalescer struct {
 	// inFlight is the flops of every admitted-but-unanswered request — the
 	// backpressure signal admission control sheds on.
 	inFlight atomic.Int64
-	flushes  sync.WaitGroup
+
+	// flushMu guards the count of running flushes and the channel the drain
+	// waits on. Unlike a sync.WaitGroup the count may rise from zero while
+	// the drain waits — a window timer can flush then — because the drain
+	// takes a fresh channel under the lock instead of racing Add with Wait.
+	flushMu  sync.Mutex
+	flushing int
+	idle     chan struct{} // closed when flushing returns to zero; nil while nobody waits
 }
 
 func newCoalescer(lib *libshalom.Context, cfg Config) *coalescer {
@@ -159,8 +166,38 @@ func (co *coalescer) flushLocked(q *classQueue) {
 	q.queue = nil
 	q.flops = 0
 	q.gen++
-	co.flushes.Add(1)
+	co.flushMu.Lock()
+	co.flushing++
+	co.flushMu.Unlock()
 	go co.runFlush(q.key, batch)
+}
+
+// flushDone counts a finished flush out and wakes a drain waiting for the
+// last one.
+func (co *coalescer) flushDone() {
+	co.flushMu.Lock()
+	defer co.flushMu.Unlock()
+	co.flushing--
+	if co.flushing == 0 && co.idle != nil {
+		close(co.idle)
+		co.idle = nil
+	}
+}
+
+// flushesIdle returns a channel that is closed once no flush is running —
+// already closed if none is.
+func (co *coalescer) flushesIdle() <-chan struct{} {
+	co.flushMu.Lock()
+	defer co.flushMu.Unlock()
+	if co.flushing == 0 {
+		ch := make(chan struct{})
+		close(ch)
+		return ch
+	}
+	if co.idle == nil {
+		co.idle = make(chan struct{})
+	}
+	return co.idle
 }
 
 // flushAll force-flushes every resident batch — the drain path.
@@ -186,8 +223,8 @@ func (co *coalescer) flushAll() {
 // with their results, expired entries 504, and entries cancelled with time
 // remaining re-flush until each completes or expires.
 func (co *coalescer) runFlush(key classKey, batch []*pending) {
-	defer co.flushes.Done()
-	// Anchor after the flush's events land (LIFO: before flushes.Done), so
+	defer co.flushDone()
+	// Anchor after the flush's events land (LIFO: before flushDone), so
 	// every flush closes a journal batch under one merkle root.
 	defer co.jw.Anchor()
 	now := time.Now()

@@ -461,13 +461,8 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	for {
 		s.co.flushAll()
-		done := make(chan struct{})
-		go func() {
-			s.co.flushes.Wait()
-			close(done)
-		}()
 		select {
-		case <-done:
+		case <-s.co.flushesIdle():
 		case <-ctx.Done():
 			return fmt.Errorf("server: drain interrupted with %d flops in flight: %w",
 				s.co.inFlight.Load(), ctx.Err())
