@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"libshalom/internal/mat"
+	"libshalom/internal/telemetry"
 )
 
 func TestPublicSGEMMBatch(t *testing.T) {
@@ -112,11 +113,11 @@ func TestBatchDegenerateClampSkipsPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := ctx.Snapshot()
-	if snap.Pool.TasksQueued != 0 {
-		t.Fatalf("degenerate batch queued %d pool tasks, want 0", snap.Pool.TasksQueued)
+	if snap.Counters[telemetry.PoolTasksQueued] != 0 {
+		t.Fatalf("degenerate batch queued %d pool tasks, want 0", snap.Counters[telemetry.PoolTasksQueued])
 	}
-	if snap.Threads.Calls != 1 || snap.Threads.ClampedCalls != 1 || snap.Threads.ChosenSum != 1 {
-		t.Fatalf("thread policy record = %+v, want one clamped call of width 1", snap.Threads)
+	if snap.Counters[telemetry.ThreadsPolicyCalls] != 1 || snap.Counters[telemetry.ThreadsClampedCalls] != 1 || snap.Counters[telemetry.ThreadsChosen] != 1 {
+		t.Fatalf("thread policy record = %+v, want one clamped call of width 1", snap.Counters)
 	}
 
 	// One non-degenerate entry lifts the clamp: the batch may parallelize.
@@ -128,7 +129,7 @@ func TestBatchDegenerateClampSkipsPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap = ctx.Snapshot()
-	if snap.Pool.TasksQueued == 0 {
+	if snap.Counters[telemetry.PoolTasksQueued] == 0 {
 		t.Fatal("mixed batch never used the pool; the clamp is overreaching")
 	}
 }

@@ -146,7 +146,8 @@ func main() {
 	}
 	rt.Close()
 
-	s := tel.Snapshot().Router
+	c := tel.Snapshot().Counters
 	fmt.Printf("shalom-router: drained — forwarded %d, attempts %d, retries %d, hedges %d, shed %d, errors %d, ejections %d, readmissions %d\n",
-		s.Forwarded, s.Attempts, s.Retries, s.Hedges, s.Shed, s.Errors, s.Ejections, s.Readmissions)
+		c[telemetry.RouterForwarded], c[telemetry.RouterAttempts], c[telemetry.RouterRetries], c[telemetry.RouterHedges],
+		c[telemetry.RouterShed], c[telemetry.RouterErrors], c[telemetry.RouterEjections], c[telemetry.RouterReadmissions])
 }

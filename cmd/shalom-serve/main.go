@@ -310,8 +310,8 @@ func main() {
 		fmt.Printf("shalom-serve: attribution — %d windows closed, %d drift events\n",
 			eng.Windows(), eng.DriftTotal())
 	}
-	snap := lib.Snapshot()
-	sv := snap.Server
+	c := lib.Snapshot().Counters
 	fmt.Printf("shalom-serve: drained — accepted %d, coalesced %d, shed %d, expired %d, rejected %d, flushes %d\n",
-		sv.Accepted, sv.Coalesced, sv.Shed, sv.Expired, sv.Rejected, sv.Flushes)
+		c[telemetry.ServerAccepted], c[telemetry.ServerCoalesced], c[telemetry.ServerShed],
+		c[telemetry.ServerExpired], c[telemetry.ServerRejected], c[telemetry.ServerFlushes])
 }

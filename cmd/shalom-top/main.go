@@ -306,17 +306,17 @@ func render(w io.Writer, s libshalom.TelemetrySnapshot, mix string) {
 			cs.Precision, cs.Mode, cs.ShapeClass, cs.Kernel, cs.Outcome,
 			cs.Count, meanLat, cs.MeanGFLOPS())
 	}
+	c := &s.Counters
 	fmt.Fprintf(w, "\npool: queued %d, started %d, done %d, in-flight %d, queue-wait %s, busy %s\n",
-		s.Pool.TasksQueued, s.Pool.TasksStarted, s.Pool.TasksDone, s.Pool.InFlight,
-		time.Duration(s.Pool.QueueWaitNs), time.Duration(s.Pool.BusyNs))
-	t := s.Threads
+		c[telemetry.PoolTasksQueued], c[telemetry.PoolTasksStarted], c[telemetry.PoolTasksDone], c[telemetry.PoolTasksInFlight],
+		time.Duration(c[telemetry.PoolQueueWait]), time.Duration(c[telemetry.PoolWorkerBusy]))
 	meanReq, meanChose := 0.0, 0.0
-	if t.Calls > 0 {
-		meanReq = float64(t.RequestedSum) / float64(t.Calls)
-		meanChose = float64(t.ChosenSum) / float64(t.Calls)
+	if calls := c[telemetry.ThreadsPolicyCalls]; calls > 0 {
+		meanReq = float64(c[telemetry.ThreadsRequested]) / float64(calls)
+		meanChose = float64(c[telemetry.ThreadsChosen]) / float64(calls)
 	}
 	fmt.Fprintf(w, "threads: %d policy calls, mean requested %.1f, mean chosen %.1f, clamped %d\n",
-		t.Calls, meanReq, meanChose, t.ClampedCalls)
+		c[telemetry.ThreadsPolicyCalls], meanReq, meanChose, c[telemetry.ThreadsClampedCalls])
 	if len(s.Degradations) > 0 || len(s.Faults) > 0 {
 		fmt.Fprintf(w, "events:")
 		for _, e := range s.Degradations {

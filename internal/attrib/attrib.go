@@ -378,7 +378,7 @@ func (e *Engine) Step() {
 		}
 	}
 	e.windows++
-	rec.AttribWindowDone()
+	rec.Add(telemetry.AttribWindows, 1)
 	onDrift := e.cfg.OnDrift
 	e.mu.Unlock()
 

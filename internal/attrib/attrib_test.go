@@ -147,7 +147,7 @@ func TestSeededSlowClassDriftsAndRanksFirst(t *testing.T) {
 	if len(snap.AttribDrift) != 1 || snap.AttribDrift[0].Name != "small" {
 		t.Fatalf("snapshot attrib drift = %+v", snap.AttribDrift)
 	}
-	if snap.AttribWindows == 0 {
+	if snap.Counters[telemetry.AttribWindows] == 0 {
 		t.Fatal("snapshot records no attribution windows")
 	}
 

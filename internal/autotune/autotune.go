@@ -262,7 +262,7 @@ func (e *Engine) revertLocked(key classKey, cs *classState) {
 	cs.updated = time.Now()
 	e.reverted++
 	e.cfg.Recorder.TuneEvent(telemetry.TuneReverted)
-	e.cfg.Recorder.TuneOverrides(-1)
+	e.cfg.Recorder.Add(telemetry.AutotuneOverrides, -1)
 	e.cfg.Journal.TuneRevert(plat, classLabel(key), cs.cand.Kernel,
 		cs.cand.MR, cs.cand.NR, cs.cand.KC, detail)
 }
@@ -362,7 +362,7 @@ func (e *Engine) install(k classKey, c Candidate) {
 	heal.BeginProbation(plat, path)
 	e.cfg.Recorder.BreakerTransition(telemetry.BreakerHealthy, telemetry.BreakerProbing)
 	e.cfg.Recorder.TuneEvent(telemetry.TuneCanary)
-	e.cfg.Recorder.TuneOverrides(1)
+	e.cfg.Recorder.Add(telemetry.AutotuneOverrides, 1)
 
 	e.mu.Lock()
 	cs := e.stateLocked(k)

@@ -151,8 +151,8 @@ func TestTuneNowPromotesDetunedClass(t *testing.T) {
 			t.Fatalf("autotune event %q = %d, want 1", want, snap.Autotune.Count(want))
 		}
 	}
-	if snap.Autotune.Overrides != 1 {
-		t.Fatalf("overrides gauge = %d, want 1", snap.Autotune.Overrides)
+	if snap.Counters[telemetry.AutotuneOverrides] != 1 {
+		t.Fatalf("overrides gauge = %d, want 1", snap.Counters[telemetry.AutotuneOverrides])
 	}
 
 	// Live traffic agrees with the reference on every canaried call: the
@@ -228,7 +228,7 @@ func TestStepRevertsTrippedCanary(t *testing.T) {
 		t.Fatalf("revert detail = %q, want the trip reason", rep.Classes[0].Detail)
 	}
 	snap := tel.Snapshot()
-	if snap.Autotune.Count("reverted") != 1 || snap.Autotune.Overrides != 0 {
+	if snap.Autotune.Count("reverted") != 1 || snap.Counters[telemetry.AutotuneOverrides] != 0 {
 		t.Fatalf("autotune stats = %+v, want one revert and gauge back to 0", snap.Autotune)
 	}
 	// The private breaker record is retired: generation-counted paths are

@@ -121,7 +121,7 @@ func (d Degradation) String() string {
 }
 
 // DefaultCooldown is the base open→probing cooldown used by the
-// compatibility Demote/DemoteShape entry points; internal/heal passes its
+// compatibility Demote entry point; internal/heal passes its
 // configured cooldown explicitly. The effective cooldown doubles per trip,
 // capped at DefaultCooldown << maxBackoffShift.
 const DefaultCooldown = 5 * time.Second
@@ -195,12 +195,6 @@ type breaker struct {
 // cooldown.
 func Demote(platform, kernel string, reason Reason, detail string) {
 	Trip(platform, kernel, reason, detail, "", DefaultCooldown)
-}
-
-// DemoteShape is Demote carrying the mode and dimensions of the call that
-// tripped the guard.
-func DemoteShape(platform, kernel string, reason Reason, detail, shape string) {
-	Trip(platform, kernel, reason, detail, shape, DefaultCooldown)
 }
 
 // Trip opens (or re-opens) the breaker for a (platform, kernel) pair and

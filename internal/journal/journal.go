@@ -128,15 +128,15 @@ type Writer struct {
 	leaves     [][32]byte // record leaf hashes since the last anchor
 	unanchored int
 
-	records     uint64 // records appended over the writer's lifetime
-	anchors     uint64
-	sealed      uint64 // segments sealed
-	truncated   int64  // torn-tail bytes dropped at Open
-	lastAnchor  time.Time
-	dirtyBytes  int64 // bytes appended since the last fsync
-	firstDirty  time.Time
-	closed      bool
-	err         error // sticky write error; the journal stops appending
+	records    uint64 // records appended over the writer's lifetime
+	anchors    uint64
+	sealed     uint64 // segments sealed
+	truncated  int64  // torn-tail bytes dropped at Open
+	lastAnchor time.Time
+	dirtyBytes int64 // bytes appended since the last fsync
+	firstDirty time.Time
+	closed     bool
+	err        error // sticky write error; the journal stops appending
 }
 
 // Open creates or reopens the journal in o.Dir. Reopening after a crash
@@ -514,7 +514,8 @@ func (w *Writer) appendLocked(e *Event) uint64 {
 		w.records++
 	}
 	w.markDirtyLocked(int64(len(frame)))
-	w.tel.JournalRecord(len(frame))
+	w.tel.Add(telemetry.JournalRecords, 1)
+	w.tel.Add(telemetry.JournalBytes, int64(len(frame)))
 	if w.opts.Fsync == FsyncAlways {
 		w.fsyncLocked()
 	}
@@ -556,13 +557,14 @@ func (w *Writer) anchorLocked(seal bool) {
 	w.anchors++
 	w.lastAnchor = time.Now()
 	w.markDirtyLocked(int64(len(frame)))
-	w.tel.JournalAnchor(len(frame))
+	w.tel.Add(telemetry.JournalAnchors, 1)
+	w.tel.Add(telemetry.JournalBytes, int64(len(frame)))
 	if w.opts.Fsync != FsyncNone {
 		w.fsyncLocked()
 	}
 	if e.Sealed {
 		w.sealed++
-		w.tel.JournalSegmentSealed()
+		w.tel.Add(telemetry.JournalSegmentsSealed, 1)
 	}
 	if rotate {
 		if err := w.f.Close(); err != nil && w.err == nil {
@@ -643,7 +645,7 @@ func (w *Writer) fsyncLocked() {
 	}
 	w.dirtyBytes = 0
 	w.firstDirty = time.Time{}
-	w.tel.JournalFsync()
+	w.tel.Add(telemetry.JournalFsyncs, 1)
 }
 
 // HashF32s returns the SHA-256 of v's little-endian wire bytes — the

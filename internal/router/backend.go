@@ -145,7 +145,7 @@ func (b *backend) recordFailure(errStr string, cfg Config, now time.Time, tel *t
 		return false
 	}
 	b.ejectLocked(cfg, now)
-	tel.RouterEjection()
+	tel.Add(telemetry.RouterEjections, 1)
 	return true
 }
 
@@ -213,6 +213,6 @@ func (b *backend) probeFail(errStr string, cfg Config, now time.Time, tel *telem
 		return false
 	}
 	b.ejectLocked(cfg, now)
-	tel.RouterEjection()
+	tel.Add(telemetry.RouterEjections, 1)
 	return true
 }

@@ -20,7 +20,6 @@
 package router
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
@@ -37,7 +36,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"libshalom"
 	"libshalom/internal/faults"
 	"libshalom/internal/server"
 	"libshalom/internal/telemetry"
@@ -310,7 +308,8 @@ func (rt *Router) eligibleCounts() (eligible, ejected int) {
 
 func (rt *Router) updateGauges() {
 	el, ej := rt.eligibleCounts()
-	rt.tel.RouterBackends(el, ej)
+	rt.tel.Set(telemetry.RouterBackendsEligible, int64(el))
+	rt.tel.Set(telemetry.RouterBackendsEjected, int64(ej))
 }
 
 // probeLoop is the active health scanner: every tick it probes each
@@ -360,8 +359,9 @@ func (rt *Router) probe(ctx context.Context, b *backend) {
 		return
 	}
 	resp, err := rt.client.Do(req)
+	rt.tel.Add(telemetry.RouterProbes, 1)
 	if err != nil {
-		rt.tel.RouterProbe(false)
+		rt.tel.Add(telemetry.RouterProbeFailures, 1)
 		if ctx.Err() != nil {
 			return // prober shutting down, not a backend verdict
 		}
@@ -372,20 +372,20 @@ func (rt *Router) probe(ctx context.Context, b *backend) {
 	}
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		rt.tel.Add(telemetry.RouterProbeFailures, 1)
+	}
 	switch resp.StatusCode {
 	case http.StatusOK:
-		rt.tel.RouterProbe(true)
 		if b.probeOK() {
-			rt.tel.RouterReadmission()
+			rt.tel.Add(telemetry.RouterReadmissions, 1)
 			rt.logf("router: backend %s READMITTED", b.id)
 		}
 	case http.StatusServiceUnavailable:
 		// Alive but not ready — a draining node. Routed around, never
 		// penalized: drain is deliberate, not an outlier.
-		rt.tel.RouterProbe(false)
 		b.probeNotReady(time.Now())
 	default:
-		rt.tel.RouterProbe(false)
 		if b.probeFail(fmt.Sprintf("probe status %d", resp.StatusCode), rt.cfg, time.Now(), rt.tel) {
 			rt.logf("router: backend %s EJECTED (probe status %d)", b.id, resp.StatusCode)
 		}
@@ -431,7 +431,7 @@ func (rt *Router) handleGEMM(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, int64(server.MaxHeaderBytes)+rt.cfg.MaxPayloadBytes)
 	hdr, payload, err := readRequest(body)
 	if err != nil {
-		rt.tel.RouterRejected()
+		rt.tel.Add(telemetry.RouterRejected, 1)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -494,12 +494,12 @@ func (rt *Router) handleGEMM(w http.ResponseWriter, r *http.Request) {
 		}
 		tried[pick] = true
 		launched++
-		rt.tel.RouterAttempt()
+		rt.tel.Add(telemetry.RouterAttempts, 1)
 		if retry {
-			rt.tel.RouterRetry()
+			rt.tel.Add(telemetry.RouterRetries, 1)
 		}
 		if hedge {
-			rt.tel.RouterHedge()
+			rt.tel.Add(telemetry.RouterHedges, 1)
 		}
 		actx, cancel := context.WithCancel(ctx)
 		cancels = append(cancels, cancel)
@@ -527,7 +527,7 @@ func (rt *Router) handleGEMM(w http.ResponseWriter, r *http.Request) {
 			outstanding--
 			switch res.outcome {
 			case outcomeOK:
-				rt.tel.RouterForwarded()
+				rt.tel.Add(telemetry.RouterForwarded, 1)
 				rt.relay(w, res, launched)
 				return
 			case outcomeTerminal:
@@ -550,7 +550,7 @@ func (rt *Router) handleGEMM(w http.ResponseWriter, r *http.Request) {
 				outstanding++
 			}
 		case <-ctx.Done():
-			rt.tel.RouterError()
+			rt.tel.Add(telemetry.RouterErrors, 1)
 			http.Error(w, "router: deadline exceeded before any backend answered", http.StatusGatewayTimeout)
 			return
 		}
@@ -560,7 +560,7 @@ func (rt *Router) handleGEMM(w http.ResponseWriter, r *http.Request) {
 	case outcomeShed, outcomeNotReady:
 		rt.shedResponse(w, "router: all preferred backends shed the request")
 	default:
-		rt.tel.RouterError()
+		rt.tel.Add(telemetry.RouterErrors, 1)
 		http.Error(w, "router: all attempts failed: "+lastErr, http.StatusBadGateway)
 	}
 }
@@ -710,7 +710,7 @@ func (rt *Router) relay(w http.ResponseWriter, res attemptResult, attempts int) 
 // shed signal, desynchronized so a storm of shed clients does not re-arrive
 // in one synchronized wave.
 func (rt *Router) shedResponse(w http.ResponseWriter, msg string) {
-	rt.tel.RouterShed()
+	rt.tel.Add(telemetry.RouterShed, 1)
 	w.Header().Set("Retry-After", strconv.Itoa(rt.retryAfter()))
 	http.Error(w, msg, http.StatusServiceUnavailable)
 }
@@ -724,34 +724,13 @@ func (rt *Router) retryAfter() int {
 }
 
 // readRequest splits one wire request into its parsed header and raw
-// payload bytes. Validation is the minimum routing needs — the owning
-// backend re-validates everything at decode time.
+// payload bytes. Validation is the header half of server.DecodeRequest —
+// the owning backend applies its own limits and re-validates everything at
+// decode time.
 func readRequest(r io.Reader) (server.Header, []byte, error) {
-	var h server.Header
-	br := bufio.NewReaderSize(r, server.MaxHeaderBytes)
-	line, err := br.ReadSlice('\n')
-	if err == bufio.ErrBufferFull {
-		return h, nil, fmt.Errorf("router: request header exceeds %d bytes", server.MaxHeaderBytes)
-	}
-	if err != nil {
-		return h, nil, fmt.Errorf("router: reading request header: %w", err)
-	}
-	if err := json.Unmarshal(line, &h); err != nil {
-		return h, nil, fmt.Errorf("router: malformed request header: %w", err)
-	}
-	if h.Precision != "f32" && h.Precision != "f64" {
-		return h, nil, fmt.Errorf("router: unknown precision %q (want f32 or f64)", h.Precision)
-	}
-	mode, err := libshalom.ParseMode(h.Mode)
+	h, _, br, err := server.ReadHeader(r)
 	if err != nil {
 		return h, nil, fmt.Errorf("router: %w", err)
-	}
-	h.Mode = mode.String()
-	if h.M <= 0 || h.N <= 0 || h.K <= 0 {
-		return h, nil, fmt.Errorf("router: non-positive dimensions %dx%dx%d", h.M, h.N, h.K)
-	}
-	if h.TimeoutMS < 0 {
-		return h, nil, fmt.Errorf("router: negative timeout_ms %d", h.TimeoutMS)
 	}
 	payload, err := io.ReadAll(br)
 	if err != nil {

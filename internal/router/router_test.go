@@ -306,9 +306,9 @@ func TestEjectionAndReadmission(t *testing.T) {
 		t.Fatalf("post-readmission request: status %d", rec.Code)
 	}
 	snap := tel.Snapshot()
-	if snap.Router.Ejections == 0 || snap.Router.Readmissions == 0 {
+	if snap.Counters[telemetry.RouterEjections] == 0 || snap.Counters[telemetry.RouterReadmissions] == 0 {
 		t.Fatalf("telemetry ejections=%d readmissions=%d, want both > 0",
-			snap.Router.Ejections, snap.Router.Readmissions)
+			snap.Counters[telemetry.RouterEjections], snap.Counters[telemetry.RouterReadmissions])
 	}
 }
 
@@ -390,12 +390,18 @@ func TestMalformedRejectedAtRouter(t *testing.T) {
 		`{"precision":"f32","mode":"NN","m":4,"n":4,"k":4,"timeout_ms":-1}`,
 		`not json at all`,
 	} {
-		if rec := do(rt, gemmRequest(hdr)); rec.Code != http.StatusBadRequest {
-			t.Fatalf("header %q: status %d, want 400", hdr, rec.Code)
+		rec := do(rt, gemmRequest(hdr))
+		if rec.Code != http.StatusBadRequest || !strings.HasPrefix(rec.Body.String(), "router: ") {
+			t.Fatalf("header %q: status %d %q, want 400 with the router: prefix", hdr, rec.Code, rec.Body.String())
 		}
 	}
 	if s1.count() != 0 {
 		t.Fatalf("malformed requests reached the backend %d times", s1.count())
+	}
+	// The per-dimension limit is the backend's to apply (its -max-dim is
+	// configurable): the router forwards a dimension above the default.
+	if rec := do(rt, gemmRequest(`{"precision":"f32","mode":"NN","m":100000,"n":4,"k":4}`)); s1.count() != 1 {
+		t.Fatalf("oversized dimension: status %d, backend calls %d, want it forwarded", rec.Code, s1.count())
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"libshalom"
 	"libshalom/internal/faults"
 	"libshalom/internal/server"
+	"libshalom/internal/telemetry"
 )
 
 func resetChaosState() {
@@ -104,8 +105,8 @@ func TestServeKernelPanicFailsOnlyThatBatch(t *testing.T) {
 			t.Fatalf("post-panic request %d = HTTP %d (%s), want 200", i, st, body)
 		}
 	}
-	if s := e.lib.Snapshot().Server; s.Accepted != 2*n {
-		t.Fatalf("accepted = %d, want %d", s.Accepted, 2*n)
+	if s := e.lib.Snapshot().Counters; s[telemetry.ServerAccepted] != 2*n {
+		t.Fatalf("accepted = %d, want %d", s[telemetry.ServerAccepted], 2*n)
 	}
 }
 
@@ -218,9 +219,9 @@ func TestServeDrainUnderConcurrentLoad(t *testing.T) {
 	if counts[http.StatusOK] == 0 {
 		t.Fatalf("no request completed before the drain: %v", counts)
 	}
-	s := e.lib.Snapshot().Server
-	if s.Expired != 0 {
-		t.Fatalf("drain dropped %d admitted requests", s.Expired)
+	s := e.lib.Snapshot().Counters
+	if s[telemetry.ServerExpired] != 0 {
+		t.Fatalf("drain dropped %d admitted requests", s[telemetry.ServerExpired])
 	}
-	t.Logf("drain storm outcomes: %v (accepted %d, shed %d)", counts, s.Accepted, s.Shed)
+	t.Logf("drain storm outcomes: %v (accepted %d, shed %d)", counts, s[telemetry.ServerAccepted], s[telemetry.ServerShed])
 }

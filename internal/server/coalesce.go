@@ -232,7 +232,7 @@ func (co *coalescer) runFlush(key classKey, batch []*pending) {
 	for _, p := range batch {
 		co.recordWait(p, now)
 		if !p.deadline.IsZero() && now.After(p.deadline) {
-			co.tel.ServerExpired()
+			co.tel.Add(telemetry.ServerExpired, 1)
 			co.finish(p, result{status: http.StatusGatewayTimeout, msg: "deadline expired before flush"})
 			continue
 		}
@@ -276,7 +276,7 @@ func (co *coalescer) runFlush(key classKey, batch []*pending) {
 			case i < len(done) && done[i]:
 				co.finish(p, result{status: http.StatusOK, batchSize: size, queueWait: p.wait})
 			case !p.deadline.IsZero() && now.After(p.deadline):
-				co.tel.ServerExpired()
+				co.tel.Add(telemetry.ServerExpired, 1)
 				co.finish(p, result{status: http.StatusGatewayTimeout, msg: "deadline exceeded before completion"})
 			default:
 				next = append(next, p)

@@ -258,7 +258,7 @@ func (s *Server) handleGEMM(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, int64(MaxHeaderBytes)+s.cfg.MaxPayloadBytes)
 	req, err := DecodeRequest(body, s.cfg.MaxDim, s.cfg.MaxPayloadBytes)
 	if err != nil {
-		s.tel.ServerRejected()
+		s.tel.Add(telemetry.ServerRejected, 1)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -282,12 +282,12 @@ func (s *Server) handleGEMM(w http.ResponseWriter, r *http.Request) {
 		jHdr, jPayload, _ = wireParts(req)
 	}
 	if !s.co.submit(p) {
-		s.tel.ServerShed()
+		s.tel.Add(telemetry.ServerShed, 1)
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
 		http.Error(w, "server: overloaded, request shed", http.StatusTooManyRequests)
 		return
 	}
-	s.tel.ServerAccepted()
+	s.tel.Add(telemetry.ServerAccepted, 1)
 	jid := s.jw.Admit(now, jHdr, jPayload)
 	res := <-p.done
 	if s.jw.Enabled() {

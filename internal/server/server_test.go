@@ -20,6 +20,7 @@ import (
 	"libshalom/internal/heal"
 	"libshalom/internal/mat"
 	"libshalom/internal/server"
+	"libshalom/internal/telemetry"
 )
 
 // env is one serving stack under test: a telemetry-enabled Context, the
@@ -158,8 +159,8 @@ func TestServeCoalescesBitwiseIdentical(t *testing.T) {
 	if maxBatch < 2 {
 		t.Fatalf("no coalescing observed: max batch size %d", maxBatch)
 	}
-	s := e.lib.Snapshot().Server
-	if s.Accepted != n || s.Coalesced == 0 || s.Flushes == 0 {
+	s := e.lib.Snapshot().Counters
+	if s[telemetry.ServerAccepted] != n || s[telemetry.ServerCoalesced] == 0 || s[telemetry.ServerFlushes] == 0 {
 		t.Fatalf("server stats = %+v", s)
 	}
 
@@ -227,12 +228,12 @@ func TestServeDeadlineExpiresBeforeFlush(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("HTTP %d: %s, want 504", resp.StatusCode, raw)
 	}
-	s := e.lib.Snapshot().Server
-	if s.Expired != 1 {
-		t.Fatalf("expired = %d, want 1", s.Expired)
+	s := e.lib.Snapshot().Counters
+	if s[telemetry.ServerExpired] != 1 {
+		t.Fatalf("expired = %d, want 1", s[telemetry.ServerExpired])
 	}
-	if s.Flushes != 0 {
-		t.Fatalf("flushes = %d: an expired request was computed", s.Flushes)
+	if s[telemetry.ServerFlushes] != 0 {
+		t.Fatalf("flushes = %d: an expired request was computed", s[telemetry.ServerFlushes])
 	}
 }
 
@@ -256,7 +257,7 @@ func TestServeShedsWhenOverloaded(t *testing.T) {
 		resp, _ := http.Post(e.ts.URL+"/v1/gemm", "application/octet-stream", bytes.NewReader(p1.body))
 		first <- resp
 	}()
-	waitFor(t, "first request admitted", func() bool { return e.lib.Snapshot().Server.Accepted == 1 })
+	waitFor(t, "first request admitted", func() bool { return e.lib.Snapshot().Counters[telemetry.ServerAccepted] == 1 })
 
 	resp, raw := e.post(t, p2.body)
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -265,8 +266,8 @@ func TestServeShedsWhenOverloaded(t *testing.T) {
 	if got := resp.Header.Get("Retry-After"); got != "3" {
 		t.Fatalf("Retry-After = %q, want \"3\"", got)
 	}
-	if s := e.lib.Snapshot().Server; s.Shed != 1 {
-		t.Fatalf("shed = %d, want 1", s.Shed)
+	if s := e.lib.Snapshot().Counters; s[telemetry.ServerShed] != 1 {
+		t.Fatalf("shed = %d, want 1", s[telemetry.ServerShed])
 	}
 
 	// Drain answers the parked request — shedding never drops admitted work.
@@ -336,8 +337,8 @@ func TestServe429StormEveryShedHasRetryAfter(t *testing.T) {
 	// The parked admitted requests answer at drain; the cleanup drain would
 	// do it too, but doing it here bounds the storm goroutines' lifetime.
 	waitFor(t, "storm settled", func() bool {
-		s := e.lib.Snapshot().Server
-		return s.Accepted+s.Shed == storm
+		s := e.lib.Snapshot().Counters
+		return s[telemetry.ServerAccepted]+s[telemetry.ServerShed] == storm
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -363,7 +364,7 @@ func TestServe429StormEveryShedHasRetryAfter(t *testing.T) {
 	if shed == 0 {
 		t.Fatal("storm shed nothing — queue bound not exercised")
 	}
-	if got := e.lib.Snapshot().Server.Shed; got != uint64(shed) {
+	if got := e.lib.Snapshot().Counters[telemetry.ServerShed]; got != int64(shed) {
 		t.Fatalf("telemetry shed = %d, clients saw %d", got, shed)
 	}
 }
@@ -401,7 +402,7 @@ func TestServeDrainRacesCoalescerFlush(t *testing.T) {
 		}()
 	}
 	// Land the drain while the batch windows are still flushing.
-	waitFor(t, "some requests admitted", func() bool { return e.lib.Snapshot().Server.Accepted >= 2 })
+	waitFor(t, "some requests admitted", func() bool { return e.lib.Snapshot().Counters[telemetry.ServerAccepted] >= 2 })
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := e.srv.Drain(ctx); err != nil {
@@ -419,7 +420,7 @@ func TestServeDrainRacesCoalescerFlush(t *testing.T) {
 	}
 	wg.Wait()
 	close(verdicts)
-	answered := uint64(0)
+	answered := int64(0)
 	for v := range verdicts {
 		switch v.code {
 		case http.StatusOK:
@@ -441,7 +442,7 @@ func TestServeDrainRacesCoalescerFlush(t *testing.T) {
 			t.Fatalf("unexpected verdict %d during drain race", v.code)
 		}
 	}
-	if acc := e.lib.Snapshot().Server.Accepted; answered != acc {
+	if acc := e.lib.Snapshot().Counters[telemetry.ServerAccepted]; answered != acc {
 		t.Fatalf("%d requests admitted but %d answered 200 — drain dropped admitted work", acc, answered)
 	}
 }
@@ -502,7 +503,7 @@ func TestServeDrainCompletesAdmitted(t *testing.T) {
 			statuses[i] = resp.StatusCode
 		}(i)
 	}
-	waitFor(t, "all requests admitted", func() bool { return e.lib.Snapshot().Server.Accepted == n })
+	waitFor(t, "all requests admitted", func() bool { return e.lib.Snapshot().Counters[telemetry.ServerAccepted] == n })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -515,8 +516,8 @@ func TestServeDrainCompletesAdmitted(t *testing.T) {
 			t.Fatalf("admitted request %d answered HTTP %d during drain, want 200", i, st)
 		}
 	}
-	s := e.lib.Snapshot().Server
-	if s.Expired != 0 || s.Accepted != n {
+	s := e.lib.Snapshot().Counters
+	if s[telemetry.ServerExpired] != 0 || s[telemetry.ServerAccepted] != n {
 		t.Fatalf("drain dropped admitted work: %+v", s)
 	}
 
@@ -572,8 +573,8 @@ func TestServeRejectsMalformed(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("HTTP %d: %s, want 400", resp.StatusCode, raw)
 	}
-	if s := e.lib.Snapshot().Server; s.Rejected != 1 {
-		t.Fatalf("rejected = %d, want 1", s.Rejected)
+	if s := e.lib.Snapshot().Counters; s[telemetry.ServerRejected] != 1 {
+		t.Fatalf("rejected = %d, want 1", s[telemetry.ServerRejected])
 	}
 	get, err := http.Get(e.ts.URL + "/v1/gemm")
 	if err != nil {

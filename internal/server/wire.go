@@ -106,6 +106,39 @@ func storedDims(mode libshalom.Mode, m, n, k int) (aRows, aCols, bRows, bCols in
 	return
 }
 
+// ReadHeader reads and checks the JSON header line of one wire request:
+// the checks that need no serving limits — a known precision and mode
+// (returned parsed, and canonical in h.Mode), positive dimensions, and a
+// non-negative timeout. br is positioned at the payload. Errors carry no
+// package prefix; DecodeRequest and the router add their own.
+func ReadHeader(r io.Reader) (h Header, mode libshalom.Mode, br *bufio.Reader, err error) {
+	br = bufio.NewReaderSize(r, MaxHeaderBytes)
+	line, err := br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		return h, mode, nil, fmt.Errorf("request header exceeds %d bytes", MaxHeaderBytes)
+	}
+	if err != nil {
+		return h, mode, nil, fmt.Errorf("reading request header: %w", err)
+	}
+	if err := json.Unmarshal(line, &h); err != nil {
+		return h, mode, nil, fmt.Errorf("malformed request header: %w", err)
+	}
+	if h.Precision != "f32" && h.Precision != "f64" {
+		return h, mode, nil, fmt.Errorf("unknown precision %q (want f32 or f64)", h.Precision)
+	}
+	if mode, err = libshalom.ParseMode(h.Mode); err != nil {
+		return h, mode, nil, err
+	}
+	h.Mode = mode.String()
+	if h.M <= 0 || h.N <= 0 || h.K <= 0 {
+		return h, mode, nil, fmt.Errorf("non-positive dimensions %dx%dx%d", h.M, h.N, h.K)
+	}
+	if h.TimeoutMS < 0 {
+		return h, mode, nil, fmt.Errorf("negative timeout_ms %d", h.TimeoutMS)
+	}
+	return h, mode, br, nil
+}
+
 // DecodeRequest reads and validates one request from r. Every validation —
 // header shape, dimension bounds, finite scalars, exact payload length —
 // happens before the corresponding allocation, so a hostile or truncated
@@ -119,41 +152,16 @@ func DecodeRequest(r io.Reader, maxDim int, maxPayload int64) (*Request, error) 
 	if maxPayload <= 0 {
 		maxPayload = DefaultMaxPayloadBytes
 	}
-	br := bufio.NewReaderSize(r, MaxHeaderBytes)
-	line, err := br.ReadSlice('\n')
-	if err == bufio.ErrBufferFull {
-		return nil, fmt.Errorf("server: request header exceeds %d bytes", MaxHeaderBytes)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("server: reading request header: %w", err)
-	}
-	var h Header
-	if err := json.Unmarshal(line, &h); err != nil {
-		return nil, fmt.Errorf("server: malformed request header: %w", err)
-	}
-	var f64 bool
-	switch h.Precision {
-	case "f32":
-	case "f64":
-		f64 = true
-	default:
-		return nil, fmt.Errorf("server: unknown precision %q (want f32 or f64)", h.Precision)
-	}
-	mode, err := libshalom.ParseMode(h.Mode)
+	h, mode, br, err := ReadHeader(r)
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	if h.M <= 0 || h.N <= 0 || h.K <= 0 {
-		return nil, fmt.Errorf("server: non-positive dimensions %dx%dx%d", h.M, h.N, h.K)
-	}
+	f64 := h.Precision == "f64"
 	if h.M > maxDim || h.N > maxDim || h.K > maxDim {
 		return nil, fmt.Errorf("server: dimensions %dx%dx%d exceed the per-dimension limit %d", h.M, h.N, h.K, maxDim)
 	}
 	if badScalar(h.Alpha) || badScalar(h.Beta) {
 		return nil, fmt.Errorf("server: non-finite alpha/beta (%v, %v)", h.Alpha, h.Beta)
-	}
-	if h.TimeoutMS < 0 {
-		return nil, fmt.Errorf("server: negative timeout_ms %d", h.TimeoutMS)
 	}
 	elem := int64(4)
 	if f64 {

@@ -111,7 +111,8 @@ func AttribQuantile(hist *[NumAttribBuckets]uint64, q float64) float64 {
 }
 
 // attribStats is the Recorder's attribution section: the cumulative sketch
-// plus the drift/window event counters the engine feeds back.
+// plus the drift events the engine feeds back (its completed windows are
+// the AttribWindows counter).
 type attribStats struct {
 	count [NumAttribKeys]atomic.Uint64
 	durNs [NumAttribKeys]atomic.Uint64
@@ -119,9 +120,8 @@ type attribStats struct {
 	hist  [NumAttribKeys][NumAttribBuckets]atomic.Uint64
 
 	// drift[class] counts drift events the attribution engine emitted for
-	// the class; windows counts completed attribution windows.
-	drift   [numShapeClasses]atomic.Uint64
-	windows atomic.Uint64
+	// the class.
+	drift [numShapeClasses]atomic.Uint64
 }
 
 // AttribCell is one attribution key's cumulative totals as read by the
@@ -164,17 +164,6 @@ func (r *Recorder) AttribDriftEvent(class uint8) {
 	r.attrib.drift[class].Add(1)
 }
 
-// AttribWindowDone counts one completed attribution window.
-//
-//shalom:hotpath noalloc,nolock,noblock
-func (r *Recorder) AttribWindowDone() {
-	if r == nil {
-		return
-	}
-	probeAtomicWrite()
-	r.attrib.windows.Add(1)
-}
-
 // AttribDriftCount returns the cumulative drift events for one class.
 func (r *Recorder) AttribDriftCount(class uint8) uint64 {
 	if r == nil || class >= uint8(numShapeClasses) {
@@ -200,9 +189,9 @@ type AttribStat struct {
 }
 
 // attribSnapshot renders the non-empty attribution cells.
-func (r *Recorder) attribSnapshot() (stats []AttribStat, drift []EventCount, windows uint64) {
+func (r *Recorder) attribSnapshot() (stats []AttribStat, drift []EventCount) {
 	if r == nil {
-		return nil, nil, 0
+		return nil, nil
 	}
 	for i := 0; i < NumAttribKeys; i++ {
 		count := r.attrib.count[i].Load()
@@ -232,5 +221,5 @@ func (r *Recorder) attribSnapshot() (stats []AttribStat, drift []EventCount, win
 			drift = append(drift, EventCount{Name: ShapeClass(c).String(), Count: n})
 		}
 	}
-	return stats, drift, r.attrib.windows.Load()
+	return stats, drift
 }

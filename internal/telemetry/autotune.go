@@ -1,13 +1,11 @@
 package telemetry
 
-import "sync/atomic"
-
 // Autotuner metrics. The traffic-adaptive tuning loop (internal/autotune)
 // reports its lifecycle here — searches launched, candidates proved and
 // rejected, canary installations, promotions and reverts — so one /metrics
 // scrape shows how the kernel catalogue is evolving next to the serving
-// counters it optimizes. Same contract as every other section:
-// nil-receiver no-op, probeAtomicWrite at each atomic write.
+// counters it optimizes. The installed-overrides gauge is the
+// AutotuneOverrides row of the counter table.
 
 // Autotune event kinds, in lifecycle order.
 const (
@@ -37,12 +35,6 @@ var tuneNames = [numTuneEvents]string{
 	"search", "proved", "rejected", "canary", "promoted", "reverted",
 }
 
-// autotuneStats is the Recorder's autotuner section.
-type autotuneStats struct {
-	events    [numTuneEvents]atomic.Uint64
-	overrides atomic.Int64
-}
-
 // TuneEvent counts one autotuner lifecycle event.
 //
 //shalom:hotpath noalloc,nolock,noblock
@@ -51,34 +43,15 @@ func (r *Recorder) TuneEvent(kind uint8) {
 		return
 	}
 	probeAtomicWrite()
-	r.autotune.events[kind].Add(1)
+	r.tuneEvents[kind].Add(1)
 }
 
-// TuneOverrides moves the installed-overrides gauge by delta (+1 on
-// install, -1 on eviction).
-//
-//shalom:hotpath noalloc,nolock,noblock
-func (r *Recorder) TuneOverrides(delta int64) {
-	if r == nil {
-		return
-	}
-	probeAtomicWrite()
-	r.autotune.overrides.Add(delta)
-}
-
-// AutotuneStats is the aggregated autotuner section of a Snapshot.
+// AutotuneStats is the autotuner event section of a Snapshot; the
+// installed-overrides gauge is the AutotuneOverrides counter.
 type AutotuneStats struct {
 	// Events counts autotuner lifecycle events by kind (search, proved,
 	// rejected, canary, promoted, reverted); only fired kinds appear.
 	Events []EventCount `json:"events,omitempty"`
-	// Overrides is the point-in-time gauge of installed dispatch overrides.
-	Overrides int64 `json:"overrides"`
-}
-
-// Active reports whether the autotuner ever recorded anything, so processes
-// without the loop keep their exposition unchanged.
-func (s AutotuneStats) Active() bool {
-	return len(s.Events) != 0 || s.Overrides != 0
 }
 
 // Count returns the count of one named autotune event (zero if it never
@@ -92,14 +65,13 @@ func (s AutotuneStats) Count(name string) uint64 {
 	return 0
 }
 
-// autotuneSnapshot reads the autotuner section.
+// autotuneSnapshot reads the autotuner events.
 func (r *Recorder) autotuneSnapshot() AutotuneStats {
 	var s AutotuneStats
 	for k := uint8(0); k < numTuneEvents; k++ {
-		if c := r.autotune.events[k].Load(); c > 0 {
+		if c := r.tuneEvents[k].Load(); c > 0 {
 			s.Events = append(s.Events, EventCount{Name: tuneNames[k], Count: c})
 		}
 	}
-	s.Overrides = r.autotune.overrides.Load()
 	return s
 }

@@ -166,7 +166,8 @@ func (a AttribStat) labelValues() []string {
 
 // families is the snapshot's table: call counters and histograms, pool and
 // thread-policy state, event counters, and the serving, router, autotune
-// and journal sections once they have recorded anything.
+// and journal sections once a gating counter of theirs has moved. Scalar
+// families come from the counter table, one section at a time.
 func (s Snapshot) families() []Family {
 	fams := []Family{
 		{Name: "libshalom_gemm_calls_total", Type: "counter", Labels: callLabels,
@@ -188,16 +189,9 @@ func (s Snapshot) families() []Family {
 				}
 				return Sample{Labels: c.labelValues(), Counts: c.GFLOPSBuckets[:], Sum: c.MeanGFLOPS() * float64(n)}
 			})},
-		scalar("libshalom_pool_tasks_queued_total", "counter", "Tasks submitted to the worker pool.", float64(s.Pool.TasksQueued)),
-		scalar("libshalom_pool_tasks_started_total", "counter", "Tasks begun by pool workers.", float64(s.Pool.TasksStarted)),
-		scalar("libshalom_pool_tasks_done_total", "counter", "Tasks completed by pool workers.", float64(s.Pool.TasksDone)),
-		scalar("libshalom_pool_tasks_in_flight", "gauge", "Tasks started but not yet finished.", float64(s.Pool.InFlight)),
-		scalar("libshalom_pool_queue_wait_seconds_total", "counter", "Summed task queue wait.", float64(s.Pool.QueueWaitNs)/1e9),
-		scalar("libshalom_pool_worker_busy_seconds_total", "counter", "Summed task execution time.", float64(s.Pool.BusyNs)/1e9),
-		scalar("libshalom_threads_policy_calls_total", "counter", "Calls routed through the thread policy.", float64(s.Threads.Calls)),
-		scalar("libshalom_threads_requested_total", "counter", "Summed requested thread widths.", float64(s.Threads.RequestedSum)),
-		scalar("libshalom_threads_chosen_total", "counter", "Summed chosen thread widths.", float64(s.Threads.ChosenSum)),
-		scalar("libshalom_threads_clamped_calls_total", "counter", "Calls whose width the small-GEMM policy clamped.", float64(s.Threads.ClampedCalls)),
+	}
+	fams = append(fams, s.Counters.families(secPool)...)
+	fams = append(fams, []Family{
 		events("libshalom_fault_events_total", "Fired fault-injection points.", "point", s.Faults),
 		events("libshalom_degradation_events_total", "Kernel-path demotions observed by the runtime.", "reason", s.Degradations),
 		events("libshalom_heal_events_total", "Self-healing events: breaker lifecycle, canary verdicts, watchdog conversions, transient retries.", "event", s.Heal),
@@ -216,60 +210,34 @@ func (s Snapshot) families() []Family {
 				}
 			}},
 		events("libshalom_attrib_drift_events_total", "Drift events the attribution engine emitted, by shape class.", "shape_class", s.AttribDrift),
-		scalar("libshalom_attrib_windows_total", "counter", "Completed attribution windows.", float64(s.AttribWindows)),
-		scalar("libshalom_breakers_open", "gauge", "Circuit breakers currently open (reference path in use), as observed through this recorder.", float64(s.BreakersOpen)),
-		scalar("libshalom_breakers_probing", "gauge", "Circuit breakers currently probing (canary re-promotion in progress), as observed through this recorder.", float64(s.BreakersProbing)),
+	}...)
+	fams = append(fams, s.Counters.families(secHealth)...)
+	fams = append(fams,
 		scalar("libshalom_trace_spans_total", "counter", "Phase spans recorded into the trace ring.", float64(s.TraceSpans)),
 		scalar("libshalom_trace_spans_dropped_total", "counter", "Spans overwritten by ring wraparound.", float64(s.TraceDropped)),
-	}
-	if sv := s.Server; sv.Active() {
+	)
+	if s.Counters.active(secServer) {
+		fams = append(fams, s.Counters.families(secServer)...)
 		fams = append(fams,
-			scalar("libshalom_server_requests_accepted_total", "counter", "Requests admitted into a coalescing queue.", float64(sv.Accepted)),
-			scalar("libshalom_server_requests_shed_total", "counter", "Requests refused by admission control (HTTP 429).", float64(sv.Shed)),
-			scalar("libshalom_server_requests_expired_total", "counter", "Admitted requests dropped before flush on an already-passed deadline.", float64(sv.Expired)),
-			scalar("libshalom_server_requests_rejected_total", "counter", "Requests refused at decode time (HTTP 400).", float64(sv.Rejected)),
-			scalar("libshalom_server_coalesced_requests_total", "counter", "Requests that shared a flush with at least one other request.", float64(sv.Coalesced)),
 			Family{Name: "libshalom_server_batch_size", Type: "histogram", Scale: 1, NoSum: true,
 				Help:    "Coalescer flush sizes, log2-bucketed.",
-				Samples: func(yield func(Sample)) { yield(Sample{Counts: sv.BatchSizeBuckets[:]}) }},
+				Samples: func(yield func(Sample)) { yield(Sample{Counts: s.Server.BatchSizeBuckets[:]}) }},
 			Family{Name: "libshalom_server_queue_wait_seconds", Type: "histogram", Scale: 1e9,
 				Help: "Request wait in the coalescing queue, log2-bucketed.",
 				Samples: func(yield func(Sample)) {
-					yield(Sample{Counts: sv.QueueWaitBuckets[:], Sum: float64(sv.QueueWaitNs) / 1e9})
+					yield(Sample{Counts: s.Server.QueueWaitBuckets[:], Sum: float64(s.Server.QueueWaitNs) / 1e9})
 				}},
 		)
 	}
-	if rt := s.Router; rt.Active() {
-		fams = append(fams,
-			scalar("libshalom_router_requests_forwarded_total", "counter", "Requests answered 200 off a backend.", float64(rt.Forwarded)),
-			scalar("libshalom_router_attempts_total", "counter", "Forward attempts to backends (first tries, retries and hedges).", float64(rt.Attempts)),
-			scalar("libshalom_router_retries_total", "counter", "Failure-triggered re-attempts on the next-preferred backend.", float64(rt.Retries)),
-			scalar("libshalom_router_hedges_total", "counter", "Latency-triggered concurrent attempts on the next-preferred backend.", float64(rt.Hedges)),
-			scalar("libshalom_router_requests_shed_total", "counter", "Requests the router answered 429/503 (no backend admitted them).", float64(rt.Shed)),
-			scalar("libshalom_router_requests_error_total", "counter", "Requests the router answered 502/504 after exhausting retries or deadline.", float64(rt.Errors)),
-			scalar("libshalom_router_requests_rejected_total", "counter", "Requests refused at the router's decode step (HTTP 400).", float64(rt.Rejected)),
-			scalar("libshalom_router_ejections_total", "counter", "Backends ejected by the outlier state machine.", float64(rt.Ejections)),
-			scalar("libshalom_router_readmissions_total", "counter", "Ejected backends readmitted after a successful backoff probe.", float64(rt.Readmissions)),
-			scalar("libshalom_router_probes_total", "counter", "Readiness probes issued to backends.", float64(rt.Probes)),
-			scalar("libshalom_router_probe_failures_total", "counter", "Readiness probes that failed (connect error or non-ready status).", float64(rt.ProbeFails)),
-			scalar("libshalom_router_backends_eligible", "gauge", "Backends currently eligible for routing (healthy and ready).", float64(rt.BackendsEligible)),
-			scalar("libshalom_router_backends_ejected", "gauge", "Backends currently ejected by the outlier state machine.", float64(rt.BackendsEjected)),
-		)
+	if s.Counters.active(secRouter) {
+		fams = append(fams, s.Counters.families(secRouter)...)
 	}
-	if at := s.Autotune; at.Active() {
-		fams = append(fams,
-			events("libshalom_autotune_events_total", "Autotuner lifecycle events: searches, proofs, rejections, canaries, promotions, reverts.", "event", at.Events),
-			scalar("libshalom_autotune_overrides", "gauge", "Tuned dispatch overrides currently installed.", float64(at.Overrides)),
-		)
+	if len(s.Autotune.Events) != 0 || s.Counters.active(secAutotune) {
+		fams = append(fams, events("libshalom_autotune_events_total", "Autotuner lifecycle events: searches, proofs, rejections, canaries, promotions, reverts.", "event", s.Autotune.Events))
+		fams = append(fams, s.Counters.families(secAutotune)...)
 	}
-	if jn := s.Journal; jn.Active() {
-		fams = append(fams,
-			scalar("libshalom_journal_records_total", "counter", "Event records appended to the request journal.", float64(jn.Records)),
-			scalar("libshalom_journal_bytes_total", "counter", "Bytes appended to the request journal, frames included.", float64(jn.Bytes)),
-			scalar("libshalom_journal_anchors_total", "counter", "Merkle anchors committed to the journal chain.", float64(jn.Anchors)),
-			scalar("libshalom_journal_segments_sealed_total", "counter", "Journal segments closed by a sealed anchor.", float64(jn.Sealed)),
-			scalar("libshalom_journal_fsyncs_total", "counter", "Explicit fsyncs of the active journal segment.", float64(jn.Fsyncs)),
-		)
+	if s.Counters.active(secJournal) {
+		fams = append(fams, s.Counters.families(secJournal)...)
 	}
 	return fams
 }

@@ -72,3 +72,65 @@ func TestLabelValueEscaping(t *testing.T) {
 		t.Fatalf("got %q, want %q", buf.String(), want)
 	}
 }
+
+// The server, router, journal and autotune sections stay out of the
+// exposition until one of their activating counters moves; moving only a
+// non-activating one (a gauge, a follow-on counter, a histogram) keeps the
+// section hidden.
+func TestSectionVisibility(t *testing.T) {
+	sections := []string{"libshalom_server_", "libshalom_router_", "libshalom_journal_", "libshalom_autotune_"}
+	expose := func(r *Recorder) string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := r.Snapshot().WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	fresh := expose(New(Options{}))
+	for _, sec := range sections {
+		if strings.Contains(fresh, sec) {
+			t.Fatalf("fresh recorder exposes a %s family:\n%s", sec, fresh)
+		}
+	}
+	cases := []struct {
+		name    string
+		move    func(r *Recorder)
+		section string // "" keeps every section hidden
+	}{
+		{"server accepted", func(r *Recorder) { r.Add(ServerAccepted, 1) }, "libshalom_server_"},
+		{"server shed", func(r *Recorder) { r.Add(ServerShed, 1) }, "libshalom_server_"},
+		{"server expired", func(r *Recorder) { r.Add(ServerExpired, 1) }, "libshalom_server_"},
+		{"server rejected", func(r *Recorder) { r.Add(ServerRejected, 1) }, "libshalom_server_"},
+		{"server flush", func(r *Recorder) { r.ServerFlush(1) }, "libshalom_server_"},
+		{"server queue wait", func(r *Recorder) { r.ServerQueueWait(1000) }, ""},
+		{"router attempt", func(r *Recorder) { r.Add(RouterAttempts, 1) }, "libshalom_router_"},
+		{"router probe", func(r *Recorder) { r.Add(RouterProbes, 1) }, "libshalom_router_"},
+		{"router failed probe", func(r *Recorder) { r.Add(RouterProbes, 1); r.Add(RouterProbeFailures, 1) }, "libshalom_router_"},
+		{"router rejected", func(r *Recorder) { r.Add(RouterRejected, 1) }, "libshalom_router_"},
+		{"router shed", func(r *Recorder) { r.Add(RouterShed, 1) }, "libshalom_router_"},
+		{"router forwarded", func(r *Recorder) { r.Add(RouterForwarded, 1) }, ""},
+		{"router retry", func(r *Recorder) { r.Add(RouterRetries, 1) }, ""},
+		{"router hedge", func(r *Recorder) { r.Add(RouterHedges, 1) }, ""},
+		{"router error", func(r *Recorder) { r.Add(RouterErrors, 1) }, ""},
+		{"router ejection", func(r *Recorder) { r.Add(RouterEjections, 1) }, ""},
+		{"router readmission", func(r *Recorder) { r.Add(RouterReadmissions, 1) }, ""},
+		{"router backends", func(r *Recorder) { r.Set(RouterBackendsEligible, 2); r.Set(RouterBackendsEjected, 1) }, ""},
+		{"journal record", func(r *Recorder) { r.Add(JournalRecords, 1); r.Add(JournalBytes, 64) }, "libshalom_journal_"},
+		{"journal anchor", func(r *Recorder) { r.Add(JournalAnchors, 1); r.Add(JournalBytes, 64) }, "libshalom_journal_"},
+		{"journal segment sealed", func(r *Recorder) { r.Add(JournalSegmentsSealed, 1) }, ""},
+		{"journal fsync", func(r *Recorder) { r.Add(JournalFsyncs, 1) }, ""},
+		{"autotune event", func(r *Recorder) { r.TuneEvent(TuneSearch) }, "libshalom_autotune_"},
+		{"autotune overrides", func(r *Recorder) { r.Add(AutotuneOverrides, 1) }, "libshalom_autotune_"},
+	}
+	for _, c := range cases {
+		r := New(Options{})
+		c.move(r)
+		out := expose(r)
+		for _, sec := range sections {
+			if got, want := strings.Contains(out, sec), sec == c.section; got != want {
+				t.Errorf("%s: %s families present = %v, want %v", c.name, sec, got, want)
+			}
+		}
+	}
+}

@@ -47,13 +47,21 @@ func goldenSnapshot() Snapshot {
 	ref.LatencyBuckets[21] = 2
 	ref.GFLOPSBuckets[3] = 2
 	s.Calls = []CallStat{small, ref}
-	s.Pool = PoolStats{TasksQueued: 40, TasksStarted: 39, TasksDone: 38, InFlight: 1,
-		QueueWaitNs: 1_500_000, BusyNs: 2_250_000_000}
-	s.Threads = ThreadStats{Calls: 9, RequestedSum: 36, ChosenSum: 12, ClampedCalls: 6}
+	s.Counters = Counters{
+		PoolTasksQueued: 40, PoolTasksStarted: 39, PoolTasksDone: 38, PoolTasksInFlight: 1,
+		PoolQueueWait: 1_500_000, PoolWorkerBusy: 2_250_000_000,
+		ThreadsPolicyCalls: 9, ThreadsRequested: 36, ThreadsChosen: 12, ThreadsClampedCalls: 6,
+		AttribWindows: 11, BreakersOpen: 1, BreakersProbing: 0,
+		ServerAccepted: 20, ServerShed: 3, ServerExpired: 1, ServerRejected: 2, ServerFlushes: 12, ServerCoalesced: 10,
+		RouterForwarded: 30, RouterAttempts: 34, RouterRetries: 3, RouterHedges: 1, RouterShed: 2, RouterErrors: 1,
+		RouterRejected: 1, RouterEjections: 1, RouterReadmissions: 1, RouterProbes: 50, RouterProbeFailures: 4,
+		RouterBackendsEligible: 2, RouterBackendsEjected: 1,
+		AutotuneOverrides: 1,
+		JournalRecords:    120, JournalBytes: 98_304, JournalAnchors: 4, JournalSegmentsSealed: 1, JournalFsyncs: 5,
+	}
 	s.Faults = []EventCount{{Name: "panic-in-kernel", Count: 2}, {Name: "slow-worker", Count: 1}}
 	s.Degradations = []EventCount{{Name: "runtime-panic", Count: 2}}
 	s.Heal = []EventCount{{Name: "breaker-open", Count: 1}, {Name: "canary-pass", Count: 3}}
-	s.BreakersOpen, s.BreakersProbing = 1, 0
 	s.TraceSpans, s.TraceDropped = 9000, 808
 	s.Attrib = []AttribStat{
 		{Precision: "f32", Mode: "NN", ShapeClass: "small", Kernel: "fast", Count: 6,
@@ -62,19 +70,14 @@ func goldenSnapshot() Snapshot {
 			MeanGFLOPS: 0.375, P50GFLOPS: 0.5, P99GFLOPS: 0.625},
 	}
 	s.AttribDrift = []EventCount{{Name: "small", Count: 2}}
-	s.AttribWindows = 11
-	s.Server = ServerStats{Accepted: 20, Shed: 3, Expired: 1, Rejected: 2, Flushes: 12, Coalesced: 10,
-		QueueWaitNs: 20_000_180_000, WaitedReqs: 19}
+	s.Server = ServerStats{QueueWaitNs: 20_000_180_000, WaitedReqs: 19}
 	s.Server.BatchSizeBuckets[1] = 8 // size 1
 	s.Server.BatchSizeBuckets[2] = 3 // size 2 or 3
 	s.Server.BatchSizeBuckets[NumBatchSizeBuckets-1] = 1
 	s.Server.QueueWaitBuckets[0] = 2   // 0 ns
 	s.Server.QueueWaitBuckets[14] = 16 // [8192, 16384) ns
 	s.Server.QueueWaitBuckets[NumLatencyBuckets-1] = 1
-	s.Router = RouterStats{Forwarded: 30, Attempts: 34, Retries: 3, Hedges: 1, Shed: 2, Errors: 1, Rejected: 1,
-		Ejections: 1, Readmissions: 1, Probes: 50, ProbeFails: 4, BackendsEligible: 2, BackendsEjected: 1}
-	s.Autotune = AutotuneStats{Events: []EventCount{{Name: "search", Count: 2}, {Name: "promoted", Count: 1}}, Overrides: 1}
-	s.Journal = JournalStats{Records: 120, Bytes: 98_304, Anchors: 4, Sealed: 1, Fsyncs: 5}
+	s.Autotune = AutotuneStats{Events: []EventCount{{Name: "search", Count: 2}, {Name: "promoted", Count: 1}}}
 	return s
 }
 

@@ -2,97 +2,38 @@ package telemetry
 
 import "sync/atomic"
 
-// Serving-layer metrics. The GEMM server (internal/server) coalesces
-// concurrent small requests into batch flushes; these counters make that
-// front-end observable next to the driver metrics it feeds: how many
-// requests were admitted, shed or expired, how large the flushed batches
-// were (the coalescing win is batch sizes > 1), and how long requests waited
-// in the coalescing queue. They live on the Recorder so one /metrics scrape
-// exposes the whole pipeline, and follow the same contract as every other
-// site: nil-receiver no-op, probeAtomicWrite at each atomic write.
+// Serving-layer histograms. The GEMM server (internal/server) coalesces
+// concurrent small requests into batch flushes; next to its scalar
+// counters (the Server* rows of the counter table) it records how large
+// the flushed batches were (the coalescing win is batch sizes > 1) and how
+// long requests waited in the coalescing queue.
 
 // NumBatchSizeBuckets is the log2 batch-size histogram depth: bucket i
 // counts flushes of size [2^(i-1), 2^i), so boundaries run 1 … 2048.
 const NumBatchSizeBuckets = 12
 
-// serverStats is the Recorder's serving-layer section.
+// serverStats is the Recorder's serving-layer histogram section.
 type serverStats struct {
-	accepted  atomic.Uint64
-	shed      atomic.Uint64
-	expired   atomic.Uint64
-	rejected  atomic.Uint64
-	flushes   atomic.Uint64
-	coalesced atomic.Uint64
-
 	batchHist  [NumBatchSizeBuckets]atomic.Uint64
 	waitNs     atomic.Uint64
 	waitedReqs atomic.Uint64
 	waitHist   [NumLatencyBuckets]atomic.Uint64
 }
 
-// ServerAccepted counts one request admitted into a coalescing queue.
-//
-//shalom:hotpath noalloc,nolock,noblock
-func (r *Recorder) ServerAccepted() {
-	if r == nil {
-		return
-	}
-	probeAtomicWrite()
-	r.server.accepted.Add(1)
-}
-
-// ServerShed counts one request refused by admission control (queue depth or
-// in-flight flops over the limit — the HTTP 429 path).
-//
-//shalom:hotpath noalloc,nolock,noblock
-func (r *Recorder) ServerShed() {
-	if r == nil {
-		return
-	}
-	probeAtomicWrite()
-	r.server.shed.Add(1)
-}
-
-// ServerExpired counts one admitted request dropped before its flush because
-// its deadline had already passed — work shed before it was computed.
-//
-//shalom:hotpath noalloc,nolock,noblock
-func (r *Recorder) ServerExpired() {
-	if r == nil {
-		return
-	}
-	probeAtomicWrite()
-	r.server.expired.Add(1)
-}
-
-// ServerRejected counts one request refused at decode time (malformed
-// header, dimension bounds, payload length mismatch — the HTTP 400 path).
-//
-//shalom:hotpath noalloc,nolock,noblock
-func (r *Recorder) ServerRejected() {
-	if r == nil {
-		return
-	}
-	probeAtomicWrite()
-	r.server.rejected.Add(1)
-}
-
-// ServerFlush records one coalescer flush of size requests: the batch-size
-// histogram, and — for flushes that actually coalesced (size > 1) — size
-// requests counted as coalesced.
+// ServerFlush records one coalescer flush of size requests: the flush
+// count, the batch-size histogram, and — for flushes that actually
+// coalesced (size > 1) — size requests counted as coalesced.
 //
 //shalom:hotpath noalloc,nolock,noblock
 func (r *Recorder) ServerFlush(size int) {
 	if r == nil || size <= 0 {
 		return
 	}
-	probeAtomicWrite()
-	r.server.flushes.Add(1)
+	r.Add(ServerFlushes, 1)
 	probeAtomicWrite()
 	r.server.batchHist[bucketLog2(uint64(size), NumBatchSizeBuckets)].Add(1)
 	if size > 1 {
-		probeAtomicWrite()
-		r.server.coalesced.Add(uint64(size))
+		r.Add(ServerCoalesced, int64(size))
 	}
 }
 
@@ -115,21 +56,8 @@ func (r *Recorder) ServerQueueWait(ns int64) {
 	r.server.waitHist[bucketLog2(uint64(ns), NumLatencyBuckets)].Add(1)
 }
 
-// ServerStats is the aggregated serving-layer section of a Snapshot.
+// ServerStats is the serving-layer histogram section of a Snapshot.
 type ServerStats struct {
-	// Accepted counts requests admitted into a coalescing queue; Shed those
-	// refused by admission control (429); Expired admitted requests dropped
-	// before flush on an already-passed deadline; Rejected malformed
-	// requests refused at decode time (400).
-	Accepted uint64 `json:"accepted"`
-	Shed     uint64 `json:"shed"`
-	Expired  uint64 `json:"expired"`
-	Rejected uint64 `json:"rejected"`
-	// Flushes counts coalescer flushes; Coalesced sums the requests that
-	// shared a flush with at least one other (the per-dispatch overhead they
-	// amortized).
-	Flushes   uint64 `json:"flushes"`
-	Coalesced uint64 `json:"coalesced"`
 	// BatchSizeBuckets[i] counts flushes of size [2^(i-1), 2^i).
 	BatchSizeBuckets [NumBatchSizeBuckets]uint64 `json:"batch_size_buckets"`
 	// QueueWaitNs sums request time in the coalescing queue over WaitedReqs
@@ -139,21 +67,9 @@ type ServerStats struct {
 	QueueWaitBuckets [NumLatencyBuckets]uint64 `json:"queue_wait_buckets"`
 }
 
-// Active reports whether any serving-layer event was ever recorded, so
-// non-server snapshots keep their exposition unchanged.
-func (s ServerStats) Active() bool {
-	return s.Accepted != 0 || s.Shed != 0 || s.Expired != 0 || s.Rejected != 0 || s.Flushes != 0
-}
-
-// serverSnapshot reads the serving-layer section.
+// serverSnapshot reads the serving-layer histograms.
 func (r *Recorder) serverSnapshot() ServerStats {
 	s := ServerStats{
-		Accepted:    r.server.accepted.Load(),
-		Shed:        r.server.shed.Load(),
-		Expired:     r.server.expired.Load(),
-		Rejected:    r.server.rejected.Load(),
-		Flushes:     r.server.flushes.Load(),
-		Coalesced:   r.server.coalesced.Load(),
 		QueueWaitNs: r.server.waitNs.Load(),
 		WaitedReqs:  r.server.waitedReqs.Load(),
 	}

@@ -30,30 +30,6 @@ func (s CallStat) MeanGFLOPS() float64 {
 	return float64(s.Flops) / float64(s.DurNs)
 }
 
-// PoolStats aggregates the worker-pool scheduling gauges.
-type PoolStats struct {
-	TasksQueued  uint64 `json:"tasks_queued"`
-	TasksStarted uint64 `json:"tasks_started"`
-	TasksDone    uint64 `json:"tasks_done"`
-	// InFlight is a point-in-time gauge: tasks started but not finished.
-	InFlight int64 `json:"in_flight"`
-	// QueueWaitNs sums the time tasks spent between submission and start;
-	// BusyNs sums task execution time (worker utilization = BusyNs over
-	// workers × wall time).
-	QueueWaitNs uint64 `json:"queue_wait_ns"`
-	BusyNs      uint64 `json:"busy_ns"`
-}
-
-// ThreadStats exposes the §7.4 thread-policy decisions: how many calls went
-// through the policy, the summed requested and chosen widths, and how many
-// calls the small-GEMM rule clamped below their request.
-type ThreadStats struct {
-	Calls        uint64 `json:"calls"`
-	RequestedSum uint64 `json:"requested_sum"`
-	ChosenSum    uint64 `json:"chosen_sum"`
-	ClampedCalls uint64 `json:"clamped_calls"`
-}
-
 // EventCount is one named event counter (fault point or degradation reason).
 type EventCount struct {
 	Name  string `json:"name"`
@@ -64,42 +40,32 @@ type EventCount struct {
 // read atomically, so concurrent calls may be torn across keys but never
 // within one, and every completed call is visible to a later snapshot.
 type Snapshot struct {
-	Calls   []CallStat   `json:"calls"`
-	Pool    PoolStats    `json:"pool"`
-	Threads ThreadStats  `json:"threads"`
-	Faults  []EventCount `json:"faults,omitempty"`
+	Calls []CallStat `json:"calls"`
+	// Counters holds every scalar counter and gauge of the counter table:
+	// pool and thread policy, breaker gauges, attribution windows, and the
+	// server, router, autotune and journal sections.
+	Counters Counters     `json:"counters"`
+	Faults   []EventCount `json:"faults,omitempty"`
 	// Degradations counts demotion events the runtime observed (by reason);
 	// the guard registry remains the source of truth for current state.
 	Degradations []EventCount `json:"degradations,omitempty"`
 	// Heal counts self-healing events: breaker opens/probes/closes, canary
 	// runs and verdicts, watchdog conversions and transient retries.
 	Heal []EventCount `json:"heal,omitempty"`
-	// BreakersOpen/BreakersProbing are the breaker state gauges as observed
-	// through this recorder's transitions.
-	BreakersOpen    int64 `json:"breakers_open"`
-	BreakersProbing int64 `json:"breakers_probing"`
 	// TraceSpans/TraceDropped report ring-buffer occupancy: spans ever
 	// recorded and spans overwritten by newer ones.
 	TraceSpans   uint64 `json:"trace_spans"`
 	TraceDropped uint64 `json:"trace_dropped"`
 	// Attrib summarises the fine attribution sketch per (precision, mode,
 	// shape class, kernel); AttribDrift counts drift events per shape class
-	// and AttribWindows the completed attribution windows (both fed back by
-	// internal/attrib, zero when no engine is attached).
-	Attrib        []AttribStat `json:"attrib,omitempty"`
-	AttribDrift   []EventCount `json:"attrib_drift,omitempty"`
-	AttribWindows uint64       `json:"attrib_windows"`
-	// Server is the serving-layer section (admission, shedding, coalescing);
-	// zero outside a serving process.
+	// (fed back by internal/attrib, empty when no engine is attached).
+	Attrib      []AttribStat `json:"attrib,omitempty"`
+	AttribDrift []EventCount `json:"attrib_drift,omitempty"`
+	// Server is the serving-layer histogram section (batch sizes, queue
+	// wait); zero outside a serving process.
 	Server ServerStats `json:"server"`
-	// Router is the router-tier section (forwarding, hedged retries,
-	// outlier ejection); zero outside a router process.
-	Router RouterStats `json:"router"`
-	// Journal is the request-journal section (appends, anchors, fsyncs);
-	// zero when journaling is disabled.
-	Journal JournalStats `json:"journal"`
-	// Autotune is the autotuner section (searches, proofs, promotions,
-	// reverts, installed overrides); zero when the tuning loop is off.
+	// Autotune is the autotuner event section (searches, proofs,
+	// promotions, reverts); empty when the tuning loop is off.
 	Autotune AutotuneStats `json:"autotune"`
 }
 
@@ -137,19 +103,8 @@ func (r *Recorder) Snapshot() Snapshot {
 		}
 		s.Calls = append(s.Calls, st)
 	}
-	s.Pool = PoolStats{
-		TasksQueued:  r.tasksQueued.Load(),
-		TasksStarted: r.tasksStarted.Load(),
-		TasksDone:    r.tasksDone.Load(),
-		InFlight:     r.inFlight.Load(),
-		QueueWaitNs:  r.queueWaitNs.Load(),
-		BusyNs:       r.busyNs.Load(),
-	}
-	s.Threads = ThreadStats{
-		Calls:        r.threadCalls.Load(),
-		RequestedSum: r.threadsReq.Load(),
-		ChosenSum:    r.threadsChose.Load(),
-		ClampedCalls: r.clampedCalls.Load(),
+	for c := range s.Counters {
+		s.Counters[c] = r.counters[c].Load()
 	}
 	for p := 0; p < faults.NumPoints; p++ {
 		if c := r.faultEvents[p].Load(); c > 0 {
@@ -166,12 +121,8 @@ func (r *Recorder) Snapshot() Snapshot {
 			s.Heal = append(s.Heal, EventCount{Name: healNames[h], Count: c})
 		}
 	}
-	s.BreakersOpen = r.breakersOpen.Load()
-	s.BreakersProbing = r.breakersProbing.Load()
-	s.Attrib, s.AttribDrift, s.AttribWindows = r.attribSnapshot()
+	s.Attrib, s.AttribDrift = r.attribSnapshot()
 	s.Server = r.serverSnapshot()
-	s.Router = r.routerSnapshot()
-	s.Journal = r.journalSnapshot()
 	s.Autotune = r.autotuneSnapshot()
 	if r.trace != nil {
 		r.trace.mu.Lock()

@@ -7,16 +7,18 @@
 //
 //   - Metrics: sharded atomic counters and log-bucketed latency/GFLOPS
 //     histograms keyed by (precision, mode, shape class, kernel path,
-//     outcome), pool scheduling gauges (queue wait, tasks in flight, worker
-//     busy time), thread-policy accounting (requested vs. chosen width,
-//     §7.4 clamping), and degradation/fault-injection event counters.
+//     outcome); labelled event counters (faults, degradations, healing,
+//     autotuning, drift); and every scalar counter and gauge — pool
+//     scheduling, §7.4 thread policy, breaker state, and the server,
+//     router, autotune and journal sections — as one row each of the
+//     counter table in counters.go, bumped with Add and Set.
 //   - Tracing: per-call phase spans (plan → pack → block loop →
 //     micro-kernel batches → barrier, with worker attribution) recorded
 //     into a fixed-size ring buffer, exportable as Chrome trace_event JSON
 //     loadable in chrome://tracing or Perfetto.
-//   - Exposition: Snapshot aggregation, Prometheus text format, expvar
-//     publication, and an HTTP handler (see snapshot.go, prometheus.go,
-//     http.go).
+//   - Exposition: Snapshot aggregation, the Prometheus text format (one
+//     table of Family rows rendered by one writer), expvar publication,
+//     and an HTTP handler (see snapshot.go, exposition.go, http.go).
 //
 // The disabled contract: every recording method is a method on *Recorder
 // with a nil-receiver fast path, so a driver configured without telemetry
@@ -144,19 +146,8 @@ type Recorder struct {
 	latHist [numKeys][NumLatencyBuckets]atomic.Uint64
 	gfHist  [numKeys][NumGFLOPSBuckets]atomic.Uint64
 
-	// Pool scheduling gauges (fed through the parallel.Observer interface).
-	tasksQueued  atomic.Uint64
-	tasksStarted atomic.Uint64
-	tasksDone    atomic.Uint64
-	inFlight     atomic.Int64
-	queueWaitNs  atomic.Uint64
-	busyNs       atomic.Uint64
-
-	// Thread-policy accounting (§7.4 clamping visibility).
-	threadCalls  atomic.Uint64
-	threadsReq   atomic.Uint64
-	threadsChose atomic.Uint64
-	clampedCalls atomic.Uint64
+	// Every scalar counter and gauge, indexed by Counter (see counters.go).
+	counters [NumCounters]atomic.Int64
 
 	// Event counters: fault injections by point, degradations by reason,
 	// self-healing events by kind.
@@ -164,29 +155,16 @@ type Recorder struct {
 	degrEvents  [numDegrReasons]atomic.Uint64
 	healEvents  [numHealEvents]atomic.Uint64
 
-	// Breaker state gauges: how many (platform, kernel) breakers this
-	// recorder has observed transitioning into the open/probing states and
-	// not yet out. The guard registry is the source of truth for current
-	// state; these gauges track what flowed through contexts sharing this
-	// recorder, for exposition next to the event counters.
-	breakersOpen    atomic.Int64
-	breakersProbing atomic.Int64
-
 	// Attribution sketch and drift counters (read by internal/attrib; see
 	// attrib.go).
 	attrib attribStats
 
-	// Serving-layer counters (fed by internal/server; see server.go).
+	// Serving-layer histograms (fed by internal/server; see server.go).
 	server serverStats
 
-	// Router-tier counters (fed by internal/router; see router.go).
-	router routerStats
-
-	// Journal counters (fed by internal/journal; see journal.go).
-	journal journalStats
-
-	// Autotuner counters (fed by internal/autotune; see autotune.go).
-	autotune autotuneStats
+	// Autotuner lifecycle events (fed by internal/autotune; see
+	// autotune.go).
+	tuneEvents [numTuneEvents]atomic.Uint64
 
 	callSeq atomic.Uint64 // caller trace-lane allocator
 
@@ -320,15 +298,11 @@ func (r *Recorder) ThreadChoice(requested, chosen int) {
 	if r == nil {
 		return
 	}
-	probeAtomicWrite()
-	r.threadCalls.Add(1)
-	probeAtomicWrite()
-	r.threadsReq.Add(uint64(requested))
-	probeAtomicWrite()
-	r.threadsChose.Add(uint64(chosen))
+	r.Add(ThreadsPolicyCalls, 1)
+	r.Add(ThreadsRequested, int64(requested))
+	r.Add(ThreadsChosen, int64(chosen))
 	if chosen < requested {
-		probeAtomicWrite()
-		r.clampedCalls.Add(1)
+		r.Add(ThreadsClampedCalls, 1)
 	}
 }
 
@@ -393,7 +367,9 @@ const (
 )
 
 // BreakerTransition moves the breaker state gauges: one breaker left the
-// from state and entered the to state.
+// from state and entered the to state. The gauges count the (platform,
+// kernel) breakers this recorder has seen enter open/probing and not yet
+// leave; the guard registry stays the source of truth for current state.
 func (r *Recorder) BreakerTransition(from, to uint8) {
 	if r == nil {
 		return
@@ -401,11 +377,9 @@ func (r *Recorder) BreakerTransition(from, to uint8) {
 	adj := func(state uint8, delta int64) {
 		switch state {
 		case BreakerOpen:
-			probeAtomicWrite()
-			r.breakersOpen.Add(delta)
+			r.Add(BreakersOpen, delta)
 		case BreakerProbing:
-			probeAtomicWrite()
-			r.breakersProbing.Add(delta)
+			r.Add(BreakersProbing, delta)
 		}
 	}
 	adj(from, -1)
@@ -443,8 +417,7 @@ func (r *Recorder) TaskQueued(n int) {
 	if r == nil {
 		return
 	}
-	probeAtomicWrite()
-	r.tasksQueued.Add(uint64(n))
+	r.Add(PoolTasksQueued, int64(n))
 }
 
 // TaskStart records a pool task beginning execution after waiting
@@ -455,12 +428,9 @@ func (r *Recorder) TaskStart(queueWaitNs int64) {
 	if r == nil {
 		return
 	}
-	probeAtomicWrite()
-	r.tasksStarted.Add(1)
-	probeAtomicWrite()
-	r.inFlight.Add(1)
-	probeAtomicWrite()
-	r.queueWaitNs.Add(uint64(queueWaitNs))
+	r.Add(PoolTasksStarted, 1)
+	r.Add(PoolTasksInFlight, 1)
+	r.Add(PoolQueueWait, queueWaitNs)
 }
 
 // TaskDone records a pool task finishing after busyNs of execution.
@@ -470,12 +440,9 @@ func (r *Recorder) TaskDone(busyNs int64) {
 	if r == nil {
 		return
 	}
-	probeAtomicWrite()
-	r.tasksDone.Add(1)
-	probeAtomicWrite()
-	r.inFlight.Add(-1)
-	probeAtomicWrite()
-	r.busyNs.Add(uint64(busyNs))
+	r.Add(PoolTasksDone, 1)
+	r.Add(PoolTasksInFlight, -1)
+	r.Add(PoolWorkerBusy, busyNs)
 }
 
 // Span records one completed phase span into the trace ring: phase on lane

@@ -120,7 +120,7 @@ func TestNilRecorder(t *testing.T) {
 		t.Fatal("nil WriteTrace should error")
 	}
 	s := r.Snapshot()
-	if len(s.Calls) != 0 || s.Pool.TasksQueued != 0 {
+	if len(s.Calls) != 0 || s.Counters[PoolTasksQueued] != 0 {
 		t.Fatal("nil Snapshot not zero")
 	}
 }
@@ -182,14 +182,13 @@ func TestThreadAndPoolStats(t *testing.T) {
 	r.TaskStart(100)
 	r.TaskDone(200)
 	s := r.Snapshot()
-	if s.Threads.Calls != 2 || s.Threads.RequestedSum != 12 || s.Threads.ChosenSum != 5 || s.Threads.ClampedCalls != 1 {
-		t.Fatalf("thread stats = %+v", s.Threads)
+	want := Counters{
+		ThreadsPolicyCalls: 2, ThreadsRequested: 12, ThreadsChosen: 5, ThreadsClampedCalls: 1,
+		PoolTasksQueued: 3, PoolTasksStarted: 1, PoolTasksDone: 1, PoolTasksInFlight: 0,
+		PoolQueueWait: 100, PoolWorkerBusy: 200,
 	}
-	if s.Pool.TasksQueued != 3 || s.Pool.TasksStarted != 1 || s.Pool.TasksDone != 1 {
-		t.Fatalf("pool stats = %+v", s.Pool)
-	}
-	if s.Pool.InFlight != 0 || s.Pool.QueueWaitNs != 100 || s.Pool.BusyNs != 200 {
-		t.Fatalf("pool gauges = %+v", s.Pool)
+	if s.Counters != want {
+		t.Fatalf("counters = %v, want %v", s.Counters, want)
 	}
 }
 
@@ -411,5 +410,41 @@ func TestCallTidLanes(t *testing.T) {
 	}
 	if WorkerTid(0, first) != 1 || WorkerTid(3, first) != 4 {
 		t.Fatal("worker lanes must be worker+1")
+	}
+}
+
+// Every counter-table row is typed and names a distinct family; /snapshot
+// keys the counters by family name in the exposed unit and decodes back
+// to the raw values (the unexported flush count excepted).
+func TestCountersJSON(t *testing.T) {
+	seen := map[string]bool{}
+	for c, row := range &counters {
+		if row.typ != "counter" && row.typ != "gauge" {
+			t.Errorf("counter %d: type %q", c, row.typ)
+		}
+		if row.name != "" && seen[row.name] {
+			t.Errorf("counter %d: duplicate name %s", c, row.name)
+		}
+		seen[row.name] = true
+	}
+	in := goldenSnapshot().Counters
+	raw, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var byName map[string]float64
+	if err := json.Unmarshal(raw, &byName); err != nil {
+		t.Fatal(err)
+	}
+	if byName["libshalom_pool_queue_wait_seconds_total"] != 0.0015 || byName["libshalom_router_attempts_total"] != 34 {
+		t.Fatalf("counters JSON = %s", raw)
+	}
+	var out Counters
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatal(err)
+	}
+	in[ServerFlushes] = 0
+	if out != in {
+		t.Fatalf("round trip = %v, want %v", out, in)
 	}
 }

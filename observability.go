@@ -17,8 +17,10 @@ import (
 
 // TelemetrySnapshot is an aggregated copy of a context's metrics: per-
 // (precision, mode, shape class, kernel, outcome) call counts with latency
-// and achieved-GFLOPS histograms, pool scheduling gauges, thread-policy
-// accounting, and degradation/fault event counters.
+// and achieved-GFLOPS histograms, degradation/fault event counters, and
+// every scalar counter and gauge (pool scheduling, thread-policy
+// accounting, ...) in Counters — keyed in its JSON form by the same names
+// as the /metrics families.
 type TelemetrySnapshot = telemetry.Snapshot
 
 // TelemetryCallStat is one aggregated (precision, mode, shape class,

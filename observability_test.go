@@ -234,14 +234,14 @@ func TestDegenerateGEMMNeverStartsPool(t *testing.T) {
 			t.Fatalf("WithThreads(%d): 1x1x1 GEMM started the worker pool", width)
 		}
 		snap := ctx.Snapshot()
-		if snap.Threads.Calls != 1 || snap.Threads.ChosenSum != 1 {
-			t.Fatalf("WithThreads(%d): thread stats = %+v, want 1 call with chosen width 1", width, snap.Threads)
+		if snap.Counters[telemetry.ThreadsPolicyCalls] != 1 || snap.Counters[telemetry.ThreadsChosen] != 1 {
+			t.Fatalf("WithThreads(%d): thread stats = %+v, want 1 call with chosen width 1", width, snap.Counters)
 		}
-		if width > 1 && snap.Threads.ClampedCalls != 1 {
-			t.Fatalf("WithThreads(%d): clamp not recorded: %+v", width, snap.Threads)
+		if width > 1 && snap.Counters[telemetry.ThreadsClampedCalls] != 1 {
+			t.Fatalf("WithThreads(%d): clamp not recorded: %+v", width, snap.Counters)
 		}
-		if snap.Pool.TasksQueued != 0 {
-			t.Fatalf("WithThreads(%d): pool saw %d tasks for a degenerate GEMM", width, snap.Pool.TasksQueued)
+		if snap.Counters[telemetry.PoolTasksQueued] != 0 {
+			t.Fatalf("WithThreads(%d): pool saw %d tasks for a degenerate GEMM", width, snap.Counters[telemetry.PoolTasksQueued])
 		}
 		ctx.Close()
 	}
@@ -254,14 +254,14 @@ func TestThreadChoiceRecorded(t *testing.T) {
 	defer ctx.Close()
 	runSGEMM(t, ctx, NN, 64, 64, 64) // small: policy clamps to 1
 	snap := ctx.Snapshot()
-	if snap.Threads.Calls != 1 {
-		t.Fatalf("thread policy calls = %d, want 1", snap.Threads.Calls)
+	if snap.Counters[telemetry.ThreadsPolicyCalls] != 1 {
+		t.Fatalf("thread policy calls = %d, want 1", snap.Counters[telemetry.ThreadsPolicyCalls])
 	}
-	if snap.Threads.ChosenSum != 1 {
-		t.Fatalf("small GEMM chosen width = %d, want 1", snap.Threads.ChosenSum)
+	if snap.Counters[telemetry.ThreadsChosen] != 1 {
+		t.Fatalf("small GEMM chosen width = %d, want 1", snap.Counters[telemetry.ThreadsChosen])
 	}
-	if snap.Threads.RequestedSum < 1 {
-		t.Fatalf("requested width sum = %d, want >= 1", snap.Threads.RequestedSum)
+	if snap.Counters[telemetry.ThreadsRequested] < 1 {
+		t.Fatalf("requested width sum = %d, want >= 1", snap.Counters[telemetry.ThreadsRequested])
 	}
 }
 
@@ -311,10 +311,10 @@ func TestBatchTelemetry(t *testing.T) {
 	if got := snap.CallsTotal("tiny"); got != 6 {
 		t.Fatalf("batch recorded %d tiny calls, want 6", got)
 	}
-	if snap.Pool.TasksQueued == 0 {
+	if snap.Counters[telemetry.PoolTasksQueued] == 0 {
 		t.Fatal("threaded batch recorded no pool tasks")
 	}
-	if snap.Pool.TasksDone != snap.Pool.TasksQueued || snap.Pool.InFlight != 0 {
-		t.Fatalf("pool accounting unbalanced: %+v", snap.Pool)
+	if snap.Counters[telemetry.PoolTasksDone] != snap.Counters[telemetry.PoolTasksQueued] || snap.Counters[telemetry.PoolTasksInFlight] != 0 {
+		t.Fatalf("pool accounting unbalanced: %+v", snap.Counters)
 	}
 }

@@ -8,7 +8,9 @@
 #   - /tune: the small class reaches state "promoted" with a tuned-* kernel,
 #   - /metrics: the promoted event counter and the per-class state gauge,
 #   - shalom-top -tune: the autotuner view shows the promoted class,
-#   - shalom-load: throughput on the small mix rises after promotion,
+#   - shalom-load: median throughput of three small-mix runs after
+#     promotion beats the median of three on a detuned server without the
+#     loop,
 #   - the journal carries a verifiable tune-promote record,
 #   - the server log carries the detune seed, the promotion, and a clean
 #     drain with the autotune summary line.
@@ -37,46 +39,76 @@ $GO build -o "$TMP/shalom-load" ./cmd/shalom-load
 $GO build -o "$TMP/shalom-top" ./cmd/shalom-top
 $GO build -o "$TMP/shalom-journal" ./cmd/shalom-journal
 
+# start_server LOG FLAG...: a race-enabled shalom-serve with f32/small
+# seeded with the detuned 1x4 tile and short attribution windows; waits
+# for it to bind and sets SERVE_PID and ADDR.
+start_server() {
+    log=$1
+    shift
+    rm -f "$TMP/addr"
+    "$TMP/shalom-serve" -addr 127.0.0.1:0 -addr-file "$TMP/addr" -window 5ms \
+        -attrib-window 150ms -attrib-windows 2 -attrib-min-calls 4 \
+        -detune-class small "$@" >"$TMP/$log" 2>&1 &
+    SERVE_PID=$!
+    i=0
+    while [ ! -s "$TMP/addr" ]; do
+        i=$((i + 1))
+        if [ "$i" -gt 100 ]; then
+            echo "tune-smoke: FAIL: server never bound an address" >&2
+            cat "$TMP/$log" >&2
+            exit 1
+        fi
+        if ! kill -0 "$SERVE_PID" 2>/dev/null; then
+            echo "tune-smoke: FAIL: server exited before binding" >&2
+            cat "$TMP/$log" >&2
+            exit 1
+        fi
+        sleep 0.1
+    done
+    ADDR=$(cat "$TMP/addr")
+    if ! grep -q "DETUNE seeded f32/small" "$TMP/$log"; then
+        echo "tune-smoke: FAIL: server log has no detune seed line" >&2
+        cat "$TMP/$log" >&2
+        exit 1
+    fi
+}
+
+# small_mix_gflops NAME: the median GFLOPS of three small-mix load runs.
+# One run spreads wider than the promotion's gain, so each side of the
+# before/after comparison takes the middle of three.
+small_mix_gflops() {
+    for i in 1 2 3; do
+        "$TMP/shalom-load" -addr "$ADDR" -n 300 -c 8 -mix small \
+            -json "$TMP/$1-$i.json" >>"$TMP/load.log" 2>&1 || return 1
+        grep -o '"gflops": [0-9.]*' "$TMP/$1-$i.json" | head -1 | grep -o '[0-9.]*$' >>"$TMP/$1.gflops"
+    done
+    sort -n "$TMP/$1.gflops" | sed -n 2p
+}
+
+# Baseline: measured throughput of the small mix while the detuned tile
+# serves the class, on a server configured like the one below but without
+# the tuning loop — with it, the loop promotes a better tile during the
+# baseline runs themselves.
+start_server baseline.log -journal "$TMP/baseline-journal"
+echo "tune-smoke: baseline server up on $ADDR (f32/small seeded with detuned 1x4 tile)"
+BEFORE=$(small_mix_gflops before)
+if [ -z "$BEFORE" ]; then
+    echo "tune-smoke: FAIL: baseline small-mix load runs failed" >&2
+    cat "$TMP/load.log" >&2
+    exit 1
+fi
+echo "tune-smoke: detuned baseline ${BEFORE} GFLOPS on the small mix (median of 3)"
+kill -TERM "$SERVE_PID"
+wait "$SERVE_PID" || true
+SERVE_PID=""
+
 # Short attribution windows and a fast tuning period so the loop converges
 # in seconds; the detuned 1x4 tile collapses the small class's measured
 # GFLOPS while the other classes anchor the calibration, so the feed ranks
 # f32/small as the top tuning candidate.
-"$TMP/shalom-serve" -addr 127.0.0.1:0 -addr-file "$TMP/addr" -window 5ms \
-    -attrib-window 150ms -attrib-windows 2 -attrib-min-calls 4 \
-    -autotune -autotune-interval 250ms -autotune-min-score 0.001 \
-    -detune-class small -journal "$TMP/journal" \
-    >"$TMP/serve.log" 2>&1 &
-SERVE_PID=$!
-
-i=0
-while [ ! -s "$TMP/addr" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-        echo "tune-smoke: FAIL: server never bound an address" >&2
-        cat "$TMP/serve.log" >&2
-        exit 1
-    fi
-    if ! kill -0 "$SERVE_PID" 2>/dev/null; then
-        echo "tune-smoke: FAIL: server exited before binding" >&2
-        cat "$TMP/serve.log" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
-ADDR=$(cat "$TMP/addr")
-echo "tune-smoke: server up on $ADDR (f32/small seeded with detuned 1x4 tile)"
-if ! grep -q "DETUNE seeded f32/small" "$TMP/serve.log"; then
-    echo "tune-smoke: FAIL: server log has no detune seed line" >&2
-    cat "$TMP/serve.log" >&2
-    exit 1
-fi
-
-# Baseline: measured throughput of the small mix while the detuned tile
-# serves the class.
-"$TMP/shalom-load" -addr "$ADDR" -n 300 -c 8 -mix small \
-    -json "$TMP/before.json" >>"$TMP/load.log" 2>&1
-BEFORE=$(grep -o '"gflops": [0-9.]*' "$TMP/before.json" | head -1 | grep -o '[0-9.]*$')
-echo "tune-smoke: detuned baseline ${BEFORE} GFLOPS on the small mix"
+start_server serve.log -autotune -autotune-interval 250ms -autotune-min-score 0.001 \
+    -journal "$TMP/journal"
+echo "tune-smoke: server up on $ADDR with the tuning loop (f32/small seeded with detuned 1x4 tile)"
 
 # Storm until the closed loop runs search -> prove -> canary -> promote,
 # bounded so a stuck loop fails rather than hangs. The mixed traffic keeps
@@ -136,10 +168,13 @@ fi
 echo "tune-smoke: shalom-top tune view shows the promoted class"
 
 # The promoted tile serves measurably faster than the detuned baseline.
-"$TMP/shalom-load" -addr "$ADDR" -n 300 -c 8 -mix small \
-    -json "$TMP/after.json" >>"$TMP/load.log" 2>&1
-AFTER=$(grep -o '"gflops": [0-9.]*' "$TMP/after.json" | head -1 | grep -o '[0-9.]*$')
-echo "tune-smoke: promoted throughput ${AFTER} GFLOPS on the small mix (was ${BEFORE})"
+AFTER=$(small_mix_gflops after)
+if [ -z "$AFTER" ]; then
+    echo "tune-smoke: FAIL: promoted small-mix load runs failed" >&2
+    cat "$TMP/load.log" >&2
+    exit 1
+fi
+echo "tune-smoke: promoted throughput ${AFTER} GFLOPS on the small mix, median of 3 (was ${BEFORE})"
 if ! awk "BEGIN{exit !($AFTER > $BEFORE)}"; then
     echo "tune-smoke: FAIL: promotion did not raise small-mix throughput ($BEFORE -> $AFTER GFLOPS)" >&2
     exit 1
