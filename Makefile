@@ -1,15 +1,18 @@
 GO ?= go
 
-.PHONY: build test bench-test bench-smoke vet staticlint race lint check fuzz test-chaos test-soak probe trace-smoke serve-smoke journal-smoke attrib-smoke router-smoke tune-smoke
+.PHONY: build test test-purego bench-test bench-smoke vet staticlint race lint check fuzz test-chaos test-soak probe trace-smoke serve-smoke journal-smoke attrib-smoke router-smoke tune-smoke
 
 build:
 	$(GO) build ./...
 
-# go vet runs twice: once on the default build, once under the
-# telemetryprobe tag so the probe-only sources stay vetted and compiling.
+# go vet runs on the default build (asmdecl checks the AVX2 kernels'
+# frames against their Go declarations), under the telemetryprobe tag so
+# the probe-only sources stay vetted and compiling, and for arm64 so every
+# non-amd64 build, which has no assembly kernels, keeps compiling.
 vet:
 	$(GO) vet ./...
 	$(GO) vet -tags telemetryprobe ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # The project's own analyzers (cmd/shalom-vet): hot-path invariants
 # (//shalom:hotpath), telemetry nil-guard discipline, context propagation,
@@ -21,6 +24,12 @@ staticlint:
 
 test:
 	$(GO) test ./...
+
+# The portable Go micro-kernels are what non-amd64 builds and CPUs without
+# AVX2 run; the purego tag selects them on amd64 too, so the kernels and
+# the driver above them are tested on that path here.
+test-purego:
+	$(GO) test -tags purego ./internal/kernels/... ./internal/core/...
 
 # The benchmark under shalombench/ is a nested module, so the root
 # go test ./... does not see it; its tests (checker, seeds, metric names,
@@ -130,4 +139,4 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzAnalyze -fuzztime=10s ./internal/isa/
 
 # The CI gate.
-check: vet staticlint build test bench-test race test-chaos test-soak probe trace-smoke serve-smoke router-smoke journal-smoke attrib-smoke tune-smoke lint
+check: vet staticlint build test test-purego bench-test race test-chaos test-soak probe trace-smoke serve-smoke router-smoke journal-smoke attrib-smoke tune-smoke lint

@@ -12,7 +12,6 @@ import (
 	"libshalom/internal/baselines"
 	"libshalom/internal/bench"
 	"libshalom/internal/core"
-	"libshalom/internal/kernels"
 	"libshalom/internal/mat"
 	"libshalom/internal/workloads"
 )
@@ -117,22 +116,26 @@ func benchTelemetry(b *testing.B, ctx *Context) {
 }
 
 func BenchmarkDGEMMCP2K(b *testing.B) {
-	rng := mat.NewRNG(2)
 	for _, sh := range workloads.CP2K() {
-		sh := sh
-		b.Run(sh.Name, func(b *testing.B) {
-			A := mat.RandomF64(sh.M, sh.K, rng)
-			B := mat.RandomF64(sh.K, sh.N, rng)
-			C := mat.NewF64(sh.M, sh.N)
-			ctx := New(WithThreads(1))
-			b.SetBytes(int64(sh.Flops()))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := ctx.DGEMM(NN, sh.M, sh.N, sh.K, 1, A.Data, A.Stride, B.Data, B.Stride, 0, C.Data, C.Stride); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		b.Run(sh.Name, func(b *testing.B) { benchDGEMM(b, sh) })
+	}
+}
+
+// benchDGEMM times single-threaded NN DGEMM on one shape.
+func benchDGEMM(b *testing.B, sh workloads.Shape) {
+	b.Helper()
+	rng := mat.NewRNG(2)
+	A := mat.RandomF64(sh.M, sh.K, rng)
+	B := mat.RandomF64(sh.K, sh.N, rng)
+	C := mat.NewF64(sh.M, sh.N)
+	ctx := New(WithThreads(1))
+	defer ctx.Close()
+	b.SetBytes(int64(sh.Flops()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ctx.DGEMM(NN, sh.M, sh.N, sh.K, 1, A.Data, A.Stride, B.Data, B.Stride, 0, C.Data, C.Stride); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -192,61 +195,3 @@ func BenchmarkFig12L2Misses(b *testing.B)            { benchExperiment(b, "fig12
 func BenchmarkFig13Breakdown(b *testing.B)           { benchExperiment(b, "fig13") }
 func BenchmarkFig14CP2K(b *testing.B)                { benchExperiment(b, "fig14") }
 func BenchmarkFig15VGG(b *testing.B)                 { benchExperiment(b, "fig15") }
-
-// BenchmarkMicroKernels measures the wall-clock throughput of the Go
-// compute micro-kernels themselves on the plans' modelled tiles with
-// L1-resident operands: the FP32 7×12 tile, a 7×11 edge tile of comparable
-// work, and the FP64 7×6 tile, each in the NN (outer-product) and NT
-// (inner-product) form.
-func BenchmarkMicroKernels(b *testing.B) {
-	rng := mat.NewRNG(4)
-	kc := 256
-	a32 := make([]float32, 7*kc)
-	b32 := make([]float32, kc*12)
-	c32 := make([]float32, 7*12)
-	for i := range a32 {
-		a32[i] = rng.Float32()
-	}
-	for i := range b32 {
-		b32[i] = rng.Float32()
-	}
-	b.Run("sgemm7x12", func(b *testing.B) {
-		b.SetBytes(int64(2 * 7 * 12 * kc))
-		for i := 0; i < b.N; i++ {
-			kernels.SGEMMMicro(7, 12, kc, 1, a32, kc, b32, 12, 0, c32, 12)
-		}
-	})
-	b.Run("sgemm7x11-edge", func(b *testing.B) {
-		b.SetBytes(int64(2 * 7 * 11 * kc))
-		for i := 0; i < b.N; i++ {
-			kernels.SGEMMMicro(7, 11, kc, 1, a32, kc, b32, 12, 0, c32, 12)
-		}
-	})
-	b.Run("sgemm7x12-nt", func(b *testing.B) {
-		b.SetBytes(int64(2 * 7 * 12 * kc))
-		for i := 0; i < b.N; i++ {
-			kernels.SGEMMMicroNT(7, 12, kc, 1, a32, kc, b32, kc, 0, c32, 12)
-		}
-	})
-	a64 := make([]float64, 7*kc)
-	b64 := make([]float64, kc*6)
-	c64 := make([]float64, 7*6)
-	for i := range a64 {
-		a64[i] = rng.Float64()
-	}
-	for i := range b64 {
-		b64[i] = rng.Float64()
-	}
-	b.Run("dgemm7x6", func(b *testing.B) {
-		b.SetBytes(int64(2 * 7 * 6 * kc))
-		for i := 0; i < b.N; i++ {
-			kernels.DGEMMMicro(7, 6, kc, 1, a64, kc, b64, 6, 0, c64, 6)
-		}
-	})
-	b.Run("dgemm7x6-nt", func(b *testing.B) {
-		b.SetBytes(int64(2 * 7 * 6 * kc))
-		for i := 0; i < b.N; i++ {
-			kernels.DGEMMMicroNT(7, 6, kc, 1, a64, kc, b64, kc, 0, c64, 6)
-		}
-	})
-}

@@ -8,6 +8,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"libshalom/internal/kernels"
+	"libshalom/internal/mat"
+	"libshalom/internal/workloads"
 )
 
 // benchSmokeRuns is how many timings of each side the gate takes; the
@@ -19,71 +23,135 @@ const benchSmokeRuns = 5
 const benchSmokeCommand = "make bench-smoke (SHALOM_BENCH_SMOKE=1 go test -count=1 -cpu 1 -run TestBenchSmoke .)"
 
 // benchSmokeGate is the least library/ikj throughput ratio the gate
-// accepts.
+// accepts on the NN SGEMM rows.
 const benchSmokeGate = 1.0
 
-// kernelRow is one BENCH_kernels.json row: the library's single-threaded
-// NN SGEMM against the naive ikj loop on the same square problem.
+// benchSmokeSIMDGate is the least SIMD/pure-Go throughput ratio the gate
+// accepts on the NN SGEMM rows from benchSmokeSIMDFrom³ up, when the host
+// runs a SIMD kernel level.
+const (
+	benchSmokeSIMDGate = 1.0
+	benchSmokeSIMDFrom = 64
+)
+
+// kernelRow is one BENCH_kernels.json row: single-threaded throughput of
+// one problem through the library at the host's kernel level and, in the
+// same process, through the pure-Go kernels (kernels.SetPureGo), plus the
+// naive ikj loop on the square NN SGEMM rows.
 type kernelRow struct {
-	Shape      string  `json:"shape"`
-	Threads    int     `json:"threads"`
-	LibNsPerOp float64 `json:"lib_ns_per_op"`
-	LibGFLOPS  float64 `json:"lib_gflops"`
-	IKJNsPerOp float64 `json:"ikj_ns_per_op"`
-	IKJGFLOPS  float64 `json:"ikj_gflops"`
-	VsIKJ      float64 `json:"lib_over_ikj_throughput"`
+	Shape         string  `json:"shape"`
+	Threads       int     `json:"threads"`
+	LibNsPerOp    float64 `json:"lib_ns_per_op"`
+	LibGFLOPS     float64 `json:"lib_gflops"`
+	PureGoNsPerOp float64 `json:"purego_ns_per_op"`
+	PureGoGFLOPS  float64 `json:"purego_gflops"`
+	VsPureGo      float64 `json:"lib_over_purego_throughput"`
+	IKJNsPerOp    float64 `json:"ikj_ns_per_op,omitempty"`
+	IKJGFLOPS     float64 `json:"ikj_gflops,omitempty"`
+	VsIKJ         float64 `json:"lib_over_ikj_throughput,omitempty"`
 }
 
-// TestBenchSmoke is the bench-smoke gate: for single-threaded NN SGEMM at
-// 32³, 64³ and 120³, the library's throughput over the naive ikj loop's —
-// each the minimum ns/op of benchSmokeRuns alternating timings in this
-// process — must be at least 1.0. It writes the rows to BENCH_kernels.json.
-// Timing is noisy on shared hosts, so the gate stays out of tier-1 and
-// make check: it runs only with SHALOM_BENCH_SMOKE=1.
+// minNsPerOp is the least ns/op of benchSmokeRuns timings of bench, with
+// the micro-kernels switched to the pure-Go path when pureGo is set.
+func minNsPerOp(pureGo bool, bench func(*testing.B)) time.Duration {
+	kernels.SetPureGo(pureGo)
+	defer kernels.SetPureGo(false)
+	best := time.Duration(1 << 62)
+	for r := 0; r < benchSmokeRuns; r++ {
+		best = min(best, nsPerOp(testing.Benchmark(bench)))
+	}
+	return best
+}
+
+// benchMicro7x12 times the FP32 7×12 micro-kernel with L1-resident
+// operands (kc = 256).
+func benchMicro7x12(b *testing.B) {
+	const kc = 256
+	rng := mat.NewRNG(4)
+	a := mat.RandomF32(7, kc, rng)
+	bb := mat.RandomF32(kc, 12, rng)
+	c := make([]float32, 7*12)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kernels.SGEMMMicro(7, 12, kc, 1, a.Data, kc, bb.Data, 12, 0, c, 12)
+	}
+}
+
+// TestBenchSmoke is the bench-smoke gate. Every row times the library at
+// the host's kernel level against the pure-Go kernels in this process:
+// the FP32 7×12 micro-kernel, single-threaded NN SGEMM at 32³, 64³ and
+// 120³, and one CP2K DGEMM shape. On the NN SGEMM rows the library must
+// reach at least 1.0× the naive ikj loop's throughput, and from 64³ up
+// the SIMD kernels at least 1.0× the pure-Go ones (each side the minimum
+// ns/op of benchSmokeRuns timings). It writes the rows to
+// BENCH_kernels.json. Timing is noisy on shared hosts, so the gate stays
+// out of tier-1 and make check: it runs only with SHALOM_BENCH_SMOKE=1.
 func TestBenchSmoke(t *testing.T) {
 	if os.Getenv("SHALOM_BENCH_SMOKE") == "" {
 		t.Skip("timing gate; run with SHALOM_BENCH_SMOKE=1 (make bench-smoke)")
 	}
-	var rows []kernelRow
-	for _, n := range []int{32, 64, 120} {
-		lib, ikj := time.Duration(1<<62), time.Duration(1<<62)
-		for r := 0; r < benchSmokeRuns; r++ {
-			lib = min(lib, nsPerOp(testing.Benchmark(func(b *testing.B) { benchSGEMM(b, NN, n, n, n, 1) })))
-			ikj = min(ikj, nsPerOp(testing.Benchmark(func(b *testing.B) { benchIKJ(b, n) })))
-		}
-		flops := 2 * float64(n) * float64(n) * float64(n)
-		row := kernelRow{
-			Shape:      fmt.Sprintf("NN %d³", n),
-			Threads:    1,
-			LibNsPerOp: float64(lib),
-			LibGFLOPS:  flops / float64(lib),
-			IKJNsPerOp: float64(ikj),
-			IKJGFLOPS:  flops / float64(ikj),
-			VsIKJ:      float64(ikj) / float64(lib),
-		}
-		rows = append(rows, row)
-		t.Logf("%s: library %.0f ns/op (%.2f GFLOPS), ikj %.0f ns/op (%.2f GFLOPS), ratio %.2f",
-			row.Shape, row.LibNsPerOp, row.LibGFLOPS, row.IKJNsPerOp, row.IKJGFLOPS, row.VsIKJ)
-		if row.VsIKJ < benchSmokeGate {
-			t.Errorf("%s: library/ikj throughput %.2f, want ≥ %.1f", row.Shape, row.VsIKJ, benchSmokeGate)
+	level := kernels.Level()
+	simd := level != "purego"
+	row := func(shape string, flops float64, bench func(*testing.B)) kernelRow {
+		lib, pure := minNsPerOp(false, bench), minNsPerOp(true, bench)
+		return kernelRow{
+			Shape:         shape,
+			Threads:       1,
+			LibNsPerOp:    float64(lib),
+			LibGFLOPS:     flops / float64(lib),
+			PureGoNsPerOp: float64(pure),
+			PureGoGFLOPS:  flops / float64(pure),
+			VsPureGo:      float64(pure) / float64(lib),
 		}
 	}
+
+	rows := []kernelRow{row("micro 7×12 f32 (kc 256)", 2*7*12*256, benchMicro7x12)}
+	for _, n := range []int{32, 64, 120} {
+		flops := 2 * float64(n) * float64(n) * float64(n)
+		r := row(fmt.Sprintf("NN %d³", n), flops, func(b *testing.B) { benchSGEMM(b, NN, n, n, n, 1) })
+		ikj := minNsPerOp(false, func(b *testing.B) { benchIKJ(b, n) })
+		r.IKJNsPerOp, r.IKJGFLOPS, r.VsIKJ = float64(ikj), flops/float64(ikj), float64(ikj)/r.LibNsPerOp
+		if r.VsIKJ < benchSmokeGate {
+			t.Errorf("%s: library/ikj throughput %.2f, want ≥ %.1f", r.Shape, r.VsIKJ, benchSmokeGate)
+		}
+		if simd && n >= benchSmokeSIMDFrom && r.VsPureGo < benchSmokeSIMDGate {
+			t.Errorf("%s: %s/purego throughput %.2f, want ≥ %.1f", r.Shape, level, r.VsPureGo, benchSmokeSIMDGate)
+		}
+		rows = append(rows, r)
+	}
+	cp2k := workloads.CP2K()[3]
+	rows = append(rows, row("NN DGEMM "+cp2k.Name, cp2k.Flops(), func(b *testing.B) { benchDGEMM(b, cp2k) }))
+	for _, r := range rows {
+		ikj := ""
+		if r.VsIKJ > 0 {
+			ikj = fmt.Sprintf(", ikj %.2f GFLOPS (ratio %.2f)", r.IKJGFLOPS, r.VsIKJ)
+		}
+		t.Logf("%s: %s %.0f ns/op (%.2f GFLOPS), purego %.0f ns/op (%.2f GFLOPS, ratio %.2f)%s",
+			r.Shape, level, r.LibNsPerOp, r.LibGFLOPS, r.PureGoNsPerOp, r.PureGoGFLOPS, r.VsPureGo, ikj)
+	}
+
 	out := struct {
 		Captured  string      `json:"captured"`
 		Host      string      `json:"host"`
 		GoVersion string      `json:"go_version"`
+		Level     string      `json:"kernel_level"`
 		Command   string      `json:"command"`
 		MinOfRuns int         `json:"min_of_runs"`
 		Gate      float64     `json:"gate_lib_over_ikj_at_least"`
+		SIMDGate  float64     `json:"gate_lib_over_purego_at_least"`
+		SIMDFrom  string      `json:"gate_lib_over_purego_from"`
 		Passed    bool        `json:"passed"`
 		Rows      []kernelRow `json:"rows"`
 	}{
 		Captured:  time.Now().UTC().Format("2006-01-02"),
 		Host:      hostDescription(),
 		GoVersion: runtime.Version(),
+		Level:     level,
 		Command:   benchSmokeCommand,
 		MinOfRuns: benchSmokeRuns,
 		Gate:      benchSmokeGate,
+		SIMDGate:  benchSmokeSIMDGate,
+		SIMDFrom:  fmt.Sprintf("NN %d³", benchSmokeSIMDFrom),
 		Passed:    !t.Failed(),
 		Rows:      rows,
 	}

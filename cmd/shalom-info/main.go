@@ -1,8 +1,9 @@
 // Command shalom-info prints the reproduction's analytic state: the Table 1
 // platform models, the solved micro-kernel tiles (Eq. 1–2), the derived
-// cache blocking parameters, example parallel partitions (§6), and the
-// kernel health report (which kernel paths, if any, are demoted to the
-// portable reference implementation).
+// cache blocking parameters, example parallel partitions (§6), the host
+// kernel level the micro-kernels run at (avx2 or purego), and the kernel
+// health report (which kernel paths, if any, are demoted to the portable
+// reference implementation).
 package main
 
 import (
@@ -15,7 +16,7 @@ import (
 	"libshalom/internal/bench"
 	"libshalom/internal/guard"
 	"libshalom/internal/heal"
-	_ "libshalom/internal/kernels" // registers the micro-kernel catalogue
+	"libshalom/internal/kernels"
 	"libshalom/internal/platform"
 )
 
@@ -136,6 +137,9 @@ func main() {
 		fmt.Fprintf(tw, "%d\t%d\t%d\t%dx%d\n", c[0], c[1], c[2], part.TM, part.TN)
 	}
 	tw.Flush()
+
+	fmt.Println("\n== Host micro-kernels ==")
+	fmt.Printf("kernel level: %s\n", kernels.Level())
 
 	fmt.Println("\n== Degraded kernels (fallback chain) ==")
 	printDegraded(plats)

@@ -96,7 +96,6 @@ type kernelSet[T Float] struct {
 	elemBytes int
 	micro     func(mr, nr, kc int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int)
 	packB     func(mr, nr, kc int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int, bc []T, nrTotal, jOff int)
-	nt        func(mr, nr, kc int, alpha T, a []T, lda int, bT []T, ldbT int, beta T, c []T, ldc int)
 	ntPack    func(mr, nr, kc int, alpha T, a []T, lda int, bT []T, ldbT int, beta T, c []T, ldc int, bc []T, nrTotal, jOff int)
 	scale     func(mr, nr int, beta T, c []T, ldc int)
 	packAT    func(dst []T, at []T, ldat, i0, k0, mc, kc int)
@@ -110,7 +109,6 @@ func f32Kernels() kernelSet[float32] {
 		elemBytes: 4,
 		micro:     kernels.SGEMMMicro,
 		packB:     kernels.SGEMMMicroPackB,
-		nt:        kernels.SGEMMMicroNT,
 		ntPack:    kernels.SGEMMMicroNTPack,
 		scale:     kernels.SScaleRows,
 		packAT:    pack.PackATransposedF32,
@@ -123,7 +121,6 @@ func f64Kernels() kernelSet[float64] {
 		elemBytes: 8,
 		micro:     kernels.DGEMMMicro,
 		packB:     kernels.DGEMMMicroPackB,
-		nt:        kernels.DGEMMMicroNT,
 		ntPack:    kernels.DGEMMMicroNTPack,
 		scale:     kernels.DScaleRows,
 		packAT:    pack.PackATransposedF64,

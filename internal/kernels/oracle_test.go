@@ -153,24 +153,29 @@ var (
 )
 
 // TestMicroKernelsBitExact sweeps every tile shape up to one past the FP32
-// main tile in each direction (so every register block and every leftover
-// combination runs), at panel depths from 1 to KP920's kc = 431, with tight
-// and padded leading dimensions, against the k-ordered oracles.
+// main tile in each direction (so every register block, SIMD column chunk
+// and leftover combination runs), at panel depths from 1 to KP920's
+// kc = 431, with tight and padded leading dimensions, at every kernel
+// level, against the k-ordered oracles.
 func TestMicroKernelsBitExact(t *testing.T) {
 	rng := mat.NewRNG(14)
-	for _, kc := range []int{1, 3, 17, 64, 431} {
-		for mr := 1; mr <= 8; mr++ {
-			for nr := 1; nr <= 13; nr++ {
-				for _, beta := range []float64{0, 1, 0.5} {
-					for _, pad := range []int{0, 3} {
-						tc := microCase{mr: mr, nr: nr, kc: kc,
-							lda: kc + pad, ldb: nr + 2*pad, ldbT: kc + pad, ldc: nr + pad + 1,
-							alpha: 1.5, beta: beta}
-						checkBitExact(t, "f32", f32Set, tc, rng)
-						checkBitExact(t, "f64", f64Set, tc, rng)
+	for _, lv := range levels() {
+		atLevel(lv, func() {
+			for _, kc := range []int{1, 3, 17, 64, 431} {
+				for mr := 1; mr <= 8; mr++ {
+					for nr := 1; nr <= 13; nr++ {
+						for _, beta := range []float64{0, 1, 0.5} {
+							for _, pad := range []int{0, 3} {
+								tc := microCase{mr: mr, nr: nr, kc: kc,
+									lda: kc + pad, ldb: nr + 2*pad, ldbT: kc + pad, ldc: nr + pad + 1,
+									alpha: 1.5, beta: beta}
+								checkBitExact(t, "f32/"+lv, f32Set, tc, rng)
+								checkBitExact(t, "f64/"+lv, f64Set, tc, rng)
+							}
+						}
 					}
 				}
 			}
-		}
+		})
 	}
 }

@@ -1,0 +1,22 @@
+//go:build !amd64 || purego
+
+package kernels
+
+// Level names the host kernels the micro-kernel entry points run: always
+// "purego" on this build, which has no SIMD kernels.
+func Level() string { return "purego" }
+
+// SetPureGo has nothing to switch on this build.
+func SetPureGo(bool) {}
+
+func simd() bool { return false }
+
+// The SIMD entry points are the Go kernels on this build; simd reports
+// false, so the dispatch never reaches them.
+func sgemmSIMD(mr, nr, kc int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
+	sgemmGo(mr, nr, kc, alpha, a, lda, b, ldb, beta, c, ldc)
+}
+
+func dgemmSIMD(mr, nr, kc int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
+	dgemmGo(mr, nr, kc, alpha, a, lda, b, ldb, beta, c, ldc)
+}

@@ -12,7 +12,15 @@ import (
 // The annotation grammar (DESIGN.md §11):
 //
 //	//shalom:hotpath <class>[,<class>...]   on a function declaration
+//	//shalom:asmleaf <class>[,<class>...]   on a bodyless (assembly) function
 //	//shalom:allow <analyzer>               on or above an offending line
+//
+// An assembly function has no Go body for the hotpath proof to walk, so a
+// hot path may call it only if its Go declaration carries //shalom:asmleaf,
+// the explicit list of trusted leaves. The directive vouches for the named
+// classes, nothing more; a leaf that takes pointers and vouches for
+// noalloc must also be //go:noescape, or every buffer passed to it
+// escapes to the heap.
 //
 // Classes name the operation families a hot path must be free of:
 //
@@ -96,7 +104,16 @@ type Annotations struct {
 	allow map[string]map[int]map[string]bool
 	// hotpaths in declaration order (file, then position).
 	hotpaths []HotpathDecl
+	// leaves are the //shalom:asmleaf declarations, in the same order.
+	leaves []HotpathDecl
+	leafOf map[*types.Func]*HotpathDecl
 }
+
+// Leaves returns the //shalom:asmleaf declarations in source order.
+func (a *Annotations) Leaves() []HotpathDecl { return a.leaves }
+
+// leaf returns fn's //shalom:asmleaf declaration, or nil.
+func (a *Annotations) leaf(fn *types.Func) *HotpathDecl { return a.leafOf[fn] }
 
 // Hotpaths returns the annotated functions in source order.
 func (a *Annotations) Hotpaths() []HotpathDecl { return a.hotpaths }
@@ -150,33 +167,55 @@ func collectAnnotations(prog *Program) *Annotations {
 				if !ok || fd.Doc == nil {
 					continue
 				}
-				for _, c := range fd.Doc.List {
-					spec, ok := strings.CutPrefix(c.Text, "//shalom:hotpath")
+				for _, directive := range []string{"shalom:hotpath", "shalom:asmleaf"} {
+					hd, ok := parseClassDirective(pkg, fd, directive)
 					if !ok {
 						continue
 					}
-					hd := HotpathDecl{Decl: fd, Pkg: pkg, Classes: ClassSet{}}
-					if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-						hd.Fn = obj
+					if directive == "shalom:hotpath" {
+						a.hotpaths = append(a.hotpaths, hd)
+					} else {
+						a.leaves = append(a.leaves, hd)
 					}
-					fields := strings.FieldsFunc(spec, func(r rune) bool {
-						return r == ',' || r == ' ' || r == '\t'
-					})
-					if len(fields) == 0 {
-						hd.BadSpec = "shalom:hotpath annotation names no classes (want noalloc,nolock,noblock,notime)"
-					}
-					for _, cl := range fields {
-						if !validClasses[cl] {
-							hd.BadSpec = "shalom:hotpath names unknown class " + strconv.Quote(cl)
-							continue
-						}
-						hd.Classes[cl] = true
-					}
-					a.hotpaths = append(a.hotpaths, hd)
-					break
 				}
 			}
 		}
 	}
+	a.leafOf = map[*types.Func]*HotpathDecl{}
+	for i := range a.leaves {
+		if fn := a.leaves[i].Fn; fn != nil {
+			a.leafOf[fn] = &a.leaves[i]
+		}
+	}
 	return a
+}
+
+// parseClassDirective reads the first //<directive> <classes> line of fd's
+// doc comment.
+func parseClassDirective(pkg *Package, fd *ast.FuncDecl, directive string) (HotpathDecl, bool) {
+	for _, c := range fd.Doc.List {
+		spec, ok := strings.CutPrefix(c.Text, "//"+directive)
+		if !ok {
+			continue
+		}
+		hd := HotpathDecl{Decl: fd, Pkg: pkg, Classes: ClassSet{}}
+		if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+			hd.Fn = obj
+		}
+		fields := strings.FieldsFunc(spec, func(r rune) bool {
+			return r == ',' || r == ' ' || r == '\t'
+		})
+		if len(fields) == 0 {
+			hd.BadSpec = directive + " annotation names no classes (want noalloc,nolock,noblock,notime)"
+		}
+		for _, cl := range fields {
+			if !validClasses[cl] {
+				hd.BadSpec = directive + " names unknown class " + strconv.Quote(cl)
+				continue
+			}
+			hd.Classes[cl] = true
+		}
+		return hd, true
+	}
+	return HotpathDecl{}, false
 }

@@ -85,6 +85,9 @@ func runHotpath(prog *Program, rep *Reporter) {
 		}
 		queue = append(queue, work{info: info, classes: hd.Classes, root: hd.Fn.FullName()})
 	}
+	for _, ld := range prog.Annots.Leaves() {
+		checkLeafDecl(ld, rep)
+	}
 
 	for len(queue) > 0 {
 		w := queue[0]
@@ -310,7 +313,7 @@ func (c *hotpathChecker) checkCall(call *ast.CallExpr) {
 
 	if info := c.idx.Lookup(fn); info != nil {
 		if info.Decl.Body == nil {
-			c.violate(call.Pos(), ClassNoAlloc, "call to bodyless %s cannot be verified", callKey(fn))
+			c.checkLeafCall(call, fn)
 			return
 		}
 		c.callees = append(c.callees, info)
@@ -333,5 +336,72 @@ func (c *hotpathChecker) checkCall(call *ast.CallExpr) {
 	}
 	if !noallocAllow[key] && !noallocAllow[pkgStar] {
 		c.violate(call.Pos(), ClassNoAlloc, "call to %s is not on the noalloc allowlist", key)
+	}
+}
+
+// checkLeafCall vets a call to a bodyless (assembly) function: it must be
+// a declared //shalom:asmleaf vouching for every class this path requires.
+func (c *hotpathChecker) checkLeafCall(call *ast.CallExpr, fn *types.Func) {
+	leaf := c.prog.Annots.leaf(fn)
+	if leaf == nil || leaf.BadSpec != "" {
+		c.violate(call.Pos(), ClassNoAlloc, "call to bodyless %s cannot be verified (no //shalom:asmleaf)", callKey(fn))
+		return
+	}
+	for _, cl := range []string{ClassNoAlloc, ClassNoLock, ClassNoBlock, ClassNoTime} {
+		if !leaf.Classes[cl] {
+			c.violate(call.Pos(), cl, "assembly leaf %s is not declared %s", callKey(fn), cl)
+		}
+	}
+}
+
+// checkLeafDecl vets one //shalom:asmleaf declaration: a well-formed
+// class list, no Go body (a Go function is proved, not trusted), and
+// //go:noescape when it vouches for noalloc but takes pointers.
+func checkLeafDecl(ld HotpathDecl, rep *Reporter) {
+	switch {
+	case ld.BadSpec != "":
+		rep.Reportf(ld.Decl.Pos(), "%s", ld.BadSpec)
+	case ld.Decl.Body != nil:
+		rep.Reportf(ld.Decl.Pos(), "//shalom:asmleaf on %s: it has a Go body; annotate it //shalom:hotpath instead", ld.Decl.Name.Name)
+	case ld.Fn != nil && ld.Classes[ClassNoAlloc] && !hasDirective(ld.Decl, "//go:noescape"):
+		params := ld.Fn.Type().(*types.Signature).Params()
+		for i := 0; i < params.Len(); i++ {
+			if hasPointers(params.At(i).Type()) {
+				rep.Reportf(ld.Decl.Pos(), "noalloc: assembly leaf %s takes pointer argument %s but is not //go:noescape, so its callers' buffers escape to the heap", ld.Decl.Name.Name, params.At(i).Name())
+				return
+			}
+		}
+	}
+}
+
+func hasDirective(fd *ast.FuncDecl, directive string) bool {
+	if fd.Doc == nil {
+		return false
+	}
+	for _, c := range fd.Doc.List {
+		if c.Text == directive {
+			return true
+		}
+	}
+	return false
+}
+
+// hasPointers reports whether a value of type t carries a pointer the
+// escape analysis must track.
+func hasPointers(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Basic:
+		return u.Kind() == types.UnsafePointer || u.Info()&types.IsString != 0
+	case *types.Array:
+		return hasPointers(u.Elem())
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if hasPointers(u.Field(i).Type()) {
+				return true
+			}
+		}
+		return false
+	default:
+		return true
 	}
 }

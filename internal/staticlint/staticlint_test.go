@@ -74,6 +74,23 @@ func TestHotpathFixture(t *testing.T) {
 	}
 }
 
+// TestHotpathAssemblyLeaves pins the trusted-leaf list: a hot path may
+// call a bodyless function only through //shalom:asmleaf, for the classes
+// the leaf vouches for, and the directive itself is checked.
+func TestHotpathAssemblyLeaves(t *testing.T) {
+	prog := loadFixture(t, "hotleaf")
+	diags := RunAnalyzers(prog, []*Analyzer{Hotpath})
+	const f = "hotleaf/hotleaf.go"
+	forbidAt(t, diags, f, 18)            // listed leaf, every class vouched for
+	expectAt(t, diags, "hotpath", f, 23) // unlisted bodyless call still reported
+	expectAt(t, diags, "hotpath", f, 28) // leaf not declared nolock
+	expectAt(t, diags, "hotpath", f, 32) // pointer-taking leaf without //go:noescape
+	expectAt(t, diags, "hotpath", f, 35) // asmleaf on a function with a Go body
+	if len(diags) != 4 {
+		t.Errorf("want exactly 4 findings, got:\n%s", renderDiags(diags))
+	}
+}
+
 func TestHotpathCleanFixture(t *testing.T) {
 	prog := loadFixture(t, "hotclean")
 	if diags := RunAnalyzers(prog, All()); len(diags) != 0 {
