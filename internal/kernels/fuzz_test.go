@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -235,6 +236,10 @@ func FuzzMicroKernelsBitExact(f *testing.F) {
 	f.Add(uint64(2), uint8(7), uint8(6), uint16(431), uint8(3), -0.5, 1.0)
 	f.Add(uint64(3), uint8(1), uint8(1), uint16(1), uint8(1), 2.0, 0.5)
 	f.Add(uint64(4), uint8(8), uint8(13), uint16(17), uint8(5), 1.5, -2.0)
+	// A NaN β must accumulate (β ≠ 0) and a −0 β must not read C (β == 0),
+	// as the Go comparison decides; the assembly tests β itself.
+	f.Add(uint64(5), uint8(7), uint8(12), uint16(9), uint8(0), 1.0, math.NaN())
+	f.Add(uint64(6), uint8(7), uint8(12), uint16(9), uint8(0), 1.0, math.Copysign(0, -1))
 	f.Fuzz(func(t *testing.T, seed uint64, mr, nr uint8, kc uint16, pad uint8, alpha, beta float64) {
 		tc := microCase{mr: int(mr%9) + 1, nr: int(nr%14) + 1, kc: int(kc%512) + 1, alpha: alpha, beta: beta}
 		p := int(pad % 8)
