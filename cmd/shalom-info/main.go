@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"text/tabwriter"
 
 	"libshalom/internal/analytic"
@@ -139,7 +140,10 @@ func main() {
 	tw.Flush()
 
 	fmt.Println("\n== Host micro-kernels ==")
-	fmt.Printf("kernel level: %s\n", kernels.Level())
+	fmt.Printf("kernel level: %s (this host runs: %s)\n", kernels.Level(), strings.Join(kernels.Levels(), ", "))
+	t32, t64 := kernels.HostTileFor(4), kernels.HostTileFor(8)
+	fmt.Printf("host tile: FP32 %dx%d, FP64 %dx%d (the modelled tiles above drive the ISA programs and timing model)\n",
+		t32.MR, t32.NR, t64.MR, t64.NR)
 
 	fmt.Println("\n== Degraded kernels (fallback chain) ==")
 	printDegraded(plats)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"libshalom/internal/analytic"
@@ -95,24 +96,28 @@ type Float interface {
 type kernelSet[T Float] struct {
 	elemBytes int
 	micro     func(mr, nr, kc int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int)
-	packB     func(mr, nr, kc int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int, bc []T, nrTotal, jOff int)
-	ntPack    func(mr, nr, kc int, alpha T, a []T, lda int, bT []T, ldbT int, beta T, c []T, ldc int, bc []T, nrTotal, jOff int)
-	scale     func(mr, nr int, beta T, c []T, ldc int)
-	packAT    func(dst []T, at []T, ldat, i0, k0, mc, kc int)
+	// packB copies a kc×nc NN B panel into nr-wide slivers.
+	packB  func(dst []T, b []T, ldb, kc, nc, nr int)
+	ntPack func(mr, nr, kc int, alpha T, a []T, lda int, bT []T, ldbT int, beta T, c []T, ldc int, bc []T, nrTotal, jOff int)
+	scale  func(mr, nr int, beta T, c []T, ldc int)
+	packAT func(dst []T, at []T, ldat, i0, k0, mc, kc int)
 	// ref is the portable reference GEMM the guard demotes to when the
 	// fast-path kernel family misbehaves (internal/guard fallback chain).
 	ref func(transA, transB bool, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int)
+	// scratch lends gemmST its pack buffers.
+	scratch *packScratch[T]
 }
 
 func f32Kernels() kernelSet[float32] {
 	return kernelSet[float32]{
 		elemBytes: 4,
 		micro:     kernels.SGEMMMicro,
-		packB:     kernels.SGEMMMicroPackB,
+		packB:     pack.PackBSlivers[float32],
 		ntPack:    kernels.SGEMMMicroNTPack,
 		scale:     kernels.SScaleRows,
 		packAT:    pack.PackATransposedF32,
 		ref:       kernels.SGEMMRef,
+		scratch:   &f32Scratch,
 	}
 }
 
@@ -120,11 +125,12 @@ func f64Kernels() kernelSet[float64] {
 	return kernelSet[float64]{
 		elemBytes: 8,
 		micro:     kernels.DGEMMMicro,
-		packB:     kernels.DGEMMMicroPackB,
+		packB:     pack.PackBSlivers[float64],
 		ntPack:    kernels.DGEMMMicroNTPack,
 		scale:     kernels.DScaleRows,
 		packAT:    pack.PackATransposedF64,
 		ref:       kernels.DGEMMRef,
+		scratch:   &f64Scratch,
 	}
 }
 
@@ -295,6 +301,7 @@ func resolveOverride(p *execPlan, class uint8) (tuned execPlan, probing, ok bool
 	}
 	tuned = *p
 	tuned.tile = analytic.Tile{MR: ov.MR, NR: ov.NR}
+	tuned.host.MR, tuned.host.NR = ov.MR, ov.NR
 	if ov.KC > 0 {
 		tuned.blk.KC = ov.KC
 	}
@@ -373,28 +380,24 @@ func scaleAll[T Float](ks kernelSet[T], m, n int, beta T, c []T, ldc int) {
 }
 
 // gemmST is the single-threaded Algorithm 1 loop nest for one C block
-// under plan p. tel and tid carry the telemetry recorder (nil when
-// disabled) and the trace lane of the executing worker; spans are recorded
-// per kc-block — pack spans around the explicit A gather, kernel-batch
-// spans around the micro-tile sweep (which includes the §5.3 fused B
-// packing) — coarse enough to stay off the micro-tile critical path.
+// under plan p, swept in the plan's host tile. tel and tid carry the
+// telemetry recorder (nil when disabled) and the trace lane of the
+// executing worker; spans are recorded per kc-block — pack spans around
+// the explicit A gather and NN B panel pass, kernel-batch spans around the
+// micro-tile sweep (which includes the §5.3 fused NT B packing) — coarse
+// enough to stay off the micro-tile critical path.
 func gemmST[T Float](tel *telemetry.Recorder, tid int32, ks kernelSet[T], p *execPlan, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
 	mode := p.mode
-	mr, nr := p.tile.MR, p.tile.NR
+	mr, nr := p.host.MR, p.host.NR
 	mc, kc, nc := p.blk.MC, p.blk.KC, p.blk.NC
 	prec := telemetry.PrecFor(ks.elemBytes)
 	bStrategy := p.packB(n, k)
+	packPanel := !mode.TransB() && bStrategy == pack.PackOverlap
 
-	// The buffers hold one kc×nr B sliver and one mc×kc A block, clamped
-	// to the problem: a 4³ call must not allocate KP920's 431-deep panels.
-	var bc []T
-	if bStrategy != pack.NoPack {
-		bc = make([]T, min(kc, k)*nr)
-	}
-	var aBuf []T
-	if mode.TransA() {
-		aBuf = make([]T, min(mc, m)*min(kc, k))
-	}
+	nB, nA := p.packBufLens(m, n, k)
+	buf := ks.scratch.get(nB + nA)
+	defer ks.scratch.put(buf)
+	bc, aBuf := (*buf)[:nB], (*buf)[nB:]
 
 	for jj := 0; jj < n; jj += nc {
 		ncb := min(nc, n-jj)
@@ -418,6 +421,20 @@ func gemmST[T Float](tel *telemetry.Recorder, tid int32, ks kernelSet[T], p *exe
 				} else {
 					aBlk, ldaEff = a[ii*lda+kk:], lda
 				}
+				if packPanel {
+					// NN/TN with large B: copy the kc×ncb panel into
+					// nr-wide slivers one source row at a time, so each
+					// row of B is read contiguously and once (Alg 1 line
+					// 7's packing, done for the whole panel), then run
+					// every tile of a sliver from the L1/L2-resident
+					// copy (lines 9–11). The §5.3.2 lookahead depth t
+					// changes when elements are packed, not what is
+					// computed; the timing model prices the t=1
+					// variant.
+					packStart := tel.Now()
+					ks.packB(bc, b[kk*ldb+jj:], ldb, kcb, ncb, nr)
+					tel.Span(telemetry.PhasePack, tid, packStart, uint8(mode), prec, 0, ncb, kcb)
+				}
 				kernStart := tel.Now()
 				for j := 0; j < ncb; j += nr {
 					nrb := min(nr, ncb-j)
@@ -427,7 +444,7 @@ func gemmST[T Float](tel *telemetry.Recorder, tid int32, ks kernelSet[T], p *exe
 					case mode.TransB():
 						// NT/TT: first micro-tile runs the inner-product
 						// packing kernel (Fig 5/Alg 3), the rest consume Bc
-						// with the 7×12 outer-product kernel.
+						// with the outer-product main kernel.
 						bT := b[jAbs*ldb+kk:]
 						mrb := min(mr, mcb)
 						ks.ntPack(mrb, nrb, kcb, alpha, aBlk, ldaEff, bT, ldb, betaEff, cTile, ldc, bc, nrb, 0)
@@ -435,21 +452,12 @@ func gemmST[T Float](tel *telemetry.Recorder, tid int32, ks kernelSet[T], p *exe
 							mrb2 := min(mr, mcb-i)
 							ks.micro(mrb2, nrb, kcb, alpha, aBlk[i*ldaEff:], ldaEff, bc, nrb, betaEff, cTile[i*ldc:], ldc)
 						}
-					case bStrategy == pack.PackOverlap:
-						// NN/TN with large B: pack the sliver inside the
-						// first micro-tile (Alg 1 lines 6–8), overlapping
-						// the copies with its FMAs; remaining tiles reuse
-						// the L1-resident Bc (lines 9–11). The §5.3.2
-						// lookahead depth t changes when elements are
-						// packed, not what is computed; this portable
-						// driver always packs the current sliver and the
-						// timing model prices the t=1 variant.
-						bBlk := b[kk*ldb+jAbs:]
-						mrb := min(mr, mcb)
-						ks.packB(mrb, nrb, kcb, alpha, aBlk, ldaEff, bBlk, ldb, betaEff, cTile, ldc, bc, nrb, 0)
-						for i := mrb; i < mcb; i += mr {
+					case packPanel:
+						// The sliver of columns j… sits at bc[j*kcb:].
+						sliver := bc[j*kcb:]
+						for i := 0; i < mcb; i += mr {
 							mrb2 := min(mr, mcb-i)
-							ks.micro(mrb2, nrb, kcb, alpha, aBlk[i*ldaEff:], ldaEff, bc, nrb, betaEff, cTile[i*ldc:], ldc)
+							ks.micro(mrb2, nrb, kcb, alpha, aBlk[i*ldaEff:], ldaEff, sliver, nrb, betaEff, cTile[i*ldc:], ldc)
 						}
 					default:
 						// Small B (fits L1): no packing at all (Alg 1
@@ -464,6 +472,61 @@ func gemmST[T Float](tel *telemetry.Recorder, tid int32, ks kernelSet[T], p *exe
 				tel.Span(telemetry.PhaseKernelBatch, tid, kernStart, uint8(mode), prec, mcb, ncb, kcb)
 			}
 		}
+	}
+}
+
+// packBufLens is the element count of gemmST's B buffer — one kc×nr
+// sliver (NT/TT) or one kc×nc panel (NN/TN with a packed B) — and of its
+// mc×kc A block (TN/TT), clamped to the problem: a 4³ call must not ask
+// for KP920's 431-deep panels or a 32-wide sliver.
+func (p *execPlan) packBufLens(m, n, k int) (nB, nA int) {
+	kc := min(p.blk.KC, k)
+	switch {
+	case p.mode.TransB():
+		nB = kc * min(p.host.NR, n)
+	case p.packB(n, k) == pack.PackOverlap:
+		nB = kc * min(p.blk.NC, n)
+	}
+	if p.mode.TransA() {
+		nA = min(p.blk.MC, m) * kc
+	}
+	return nB, nA
+}
+
+// packScratch lends gemmST the one buffer that holds its B sliver or panel
+// and its A block. Buffers of up to maxPooled elements — every NT sliver
+// and every small call's buffers — go back to a sync.Pool after the call,
+// so a stream of calls reuses them instead of allocating new ones. Every
+// kernel reads only elements the packing wrote in the same call, so what
+// a reused buffer held before never reaches C.
+type packScratch[T Float] struct{ pool sync.Pool }
+
+// maxPooled bounds the pooled buffers. A packed NN panel (up to half a
+// MiB) is allocated per call instead: zeroing it costs a few percent of a
+// call that large, while pooling it would keep one per worker live.
+const maxPooled = 1 << 15
+
+var (
+	f32Scratch packScratch[float32]
+	f64Scratch packScratch[float64]
+)
+
+// get returns a buffer of n elements, reusing a pooled one large enough.
+func (s *packScratch[T]) get(n int) *[]T {
+	if n <= maxPooled {
+		if buf, ok := s.pool.Get().(*[]T); ok && cap(*buf) >= n {
+			*buf = (*buf)[:n]
+			return buf
+		}
+	}
+	buf := make([]T, n)
+	return &buf
+}
+
+// put returns a buffer from get to the pool, if it is small enough.
+func (s *packScratch[T]) put(buf *[]T) {
+	if cap(*buf) <= maxPooled {
+		s.pool.Put(buf)
 	}
 }
 

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"testing"
 	"testing/quick"
 
+	"libshalom/internal/kernels"
 	"libshalom/internal/mat"
 	"libshalom/internal/parallel"
 	"libshalom/internal/platform"
@@ -333,6 +335,120 @@ func TestSmallCallPackBuffersSizedByProblem(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPackBufLensClampedToProblem pins the pack buffer gemmST asks for to
+// the problem: one kc×nr sliver for NT/TT and one kc×nc panel for packed
+// NN/TN, never wider or deeper than the operand, plus the mc×kc A block
+// for TN/TT — so a small call asks for a small buffer whatever the blocking
+// and the host tile.
+func TestPackBufLensClampedToProblem(t *testing.T) {
+	plat := platform.KP920()
+	for _, tc := range []struct {
+		mode      Mode
+		elem      int
+		sliver, a bool // whether the call packs a B sliver, gathers A
+	}{
+		{NN, 4, false, false}, // B fits L1: no packing
+		{NT, 4, true, false},
+		{TT, 8, true, true},
+		{TN, 8, false, true},
+	} {
+		p := derivePlan(plat, tc.mode, tc.elem)
+		var wantB, wantA int
+		if tc.sliver {
+			wantB = 8 * min(p.host.NR, 8) // a sliver no wider than n
+		}
+		if tc.a {
+			wantA = 8 * 8 // an A block no larger than m×k
+		}
+		if nB, nA := p.packBufLens(8, 8, 8); nB != wantB || nA != wantA {
+			t.Errorf("%v %d-byte 8³: buffers (%d, %d), want (%d, %d)", tc.mode, tc.elem, nB, nA, wantB, wantA)
+		}
+	}
+	// A packed NN panel spans min(kc, k)×min(nc, n); an NT sliver kc×nr.
+	p := derivePlan(plat, NN, 4)
+	if nB, _ := p.packBufLens(16, 4096, 512); nB != p.blk.KC*p.blk.NC {
+		t.Errorf("NN 16×4096×512: B buffer %d, want kc·nc = %d", nB, p.blk.KC*p.blk.NC)
+	}
+	p = derivePlan(plat, NT, 4)
+	if nB, _ := p.packBufLens(16, 4096, 512); nB != p.blk.KC*p.host.NR {
+		t.Errorf("NT 16×4096×512: B buffer %d, want kc·nr = %d", nB, p.blk.KC*p.host.NR)
+	}
+}
+
+// atLevel runs f with the micro-kernels switched to level, then restores
+// the level that was running.
+func atLevel(t *testing.T, level string, f func()) {
+	t.Helper()
+	prev := kernels.Level()
+	if err := kernels.SetLevel(level); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = kernels.SetLevel(prev) }()
+	f()
+}
+
+// TestHostTileLevelsBitIdentical runs the driver at every kernel level —
+// the 8×32 / 8×16 host tile with the row-by-row NN panel at a SIMD level,
+// the modelled 7×12 / 7×6 under purego — on shapes that take the
+// unpacked, the panel-packed (several panels and kc blocks, edge slivers)
+// and the NT-packed paths in every mode, and requires bitwise equal C.
+func TestHostTileLevelsBitIdentical(t *testing.T) {
+	cfg := Config{Plat: platform.KP920(), Threads: 1}
+	rng := mat.NewRNG(17)
+	rand := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.Float64()*2 - 1
+		}
+		return v
+	}
+	for _, mode := range Modes() {
+		for _, s := range [][3]int{{9, 33, 17}, {70, 45, 500}, {16, 700, 500}} {
+			m, n, k := s[0], s[1], s[2]
+			lda, ldb := k, n
+			if mode.TransA() {
+				lda = m
+			}
+			if mode.TransB() {
+				ldb = k
+			}
+			a, b, c := rand(m*k), rand(k*n), rand(m*n)
+			a32, b32, c32 := toF32(a), toF32(b), toF32(c)
+			var want32 []float32
+			var want []float64
+			for _, lv := range kernels.Levels() {
+				got32, got := append([]float32(nil), c32...), append([]float64(nil), c...)
+				atLevel(t, lv, func() {
+					if err := SGEMM(cfg, mode, m, n, k, 1.5, a32, lda, b32, ldb, 0.5, got32, n); err != nil {
+						t.Fatal(err)
+					}
+					if err := DGEMM(cfg, mode, m, n, k, 1.5, a, lda, b, ldb, 0.5, got, n); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if want == nil {
+					want32, want = got32, got
+					continue
+				}
+				for i := range got {
+					if math.Float32bits(got32[i]) != math.Float32bits(want32[i]) || math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%v %d×%d×%d: C[%d] at %s = %v / %v, at %s %v / %v",
+							mode, m, n, k, i, lv, got32[i], got[i], kernels.Levels()[0], want32[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func toF32(v []float64) []float32 {
+	out := make([]float32, len(v))
+	for i, x := range v {
+		out[i] = float32(x)
+	}
+	return out
 }
 
 // allocsAndBytesPerRun is testing.AllocsPerRun plus the heap bytes

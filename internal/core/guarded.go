@@ -137,8 +137,8 @@ func protect(p *execPlan, bl parallel.Block, entry int, f func()) (err error) {
 // one-to-one fault-to-event mapping.
 func corruptPackKernels[T Float](ks kernelSet[T], tel *telemetry.Recorder) kernelSet[T] {
 	packB, ntPack := ks.packB, ks.ntPack
-	ks.packB = func(mr, nr, kc int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int, bc []T, nrTotal, jOff int) {
-		packB(mr, nr, kc, alpha, a, lda, b, ldb, beta, c, ldc, bc, nrTotal, jOff)
+	ks.packB = func(bc []T, b []T, ldb, kc, nc, nr int) {
+		packB(bc, b, ldb, kc, nc, nr)
 		if len(bc) > 0 && faults.Fire(faults.CorruptPack) {
 			tel.FaultInjected(faults.CorruptPack)
 			bc[0] = T(math.NaN())

@@ -6,6 +6,7 @@ import (
 
 	"libshalom/internal/analytic"
 	"libshalom/internal/guard"
+	"libshalom/internal/kernels"
 	"libshalom/internal/pack"
 	"libshalom/internal/parallel"
 	"libshalom/internal/platform"
@@ -13,7 +14,7 @@ import (
 )
 
 // Plan describes every decision the driver will take for a GEMM call,
-// before any arithmetic happens: the micro-kernel tile, the blocking, the
+// before any arithmetic happens: the micro-kernel tiles, the blocking, the
 // §4 packing strategy, the §5.3.2 lookahead depth, and the §6 parallel
 // partition. It exists for introspection (tools, tests, documentation);
 // the driver and PlanFor share one derivation (derivePlan).
@@ -24,8 +25,14 @@ import (
 type Plan struct {
 	Mode      Mode
 	ElemBytes int
-	Tile      analytic.Tile
-	Blocking  analytic.Blocking
+	// Tile is the modelled §5.2 register tile (7×12 FP32, 7×6 FP64 for 32
+	// NEON registers), which the isacheck contracts, the ISA programs and
+	// the timing model use.
+	Tile analytic.Tile
+	// HostTile is the tile the driver sweeps on this host, sized for the
+	// kernel level it runs (internal/kernels.HostTileFor).
+	HostTile kernels.HostTile
+	Blocking analytic.Blocking
 	// ShapeClass is the telemetry workload regime of the problem — the
 	// shape_class label its metrics are keyed by.
 	ShapeClass telemetry.ShapeClass
@@ -54,6 +61,7 @@ func PlanFor(cfg Config, mode Mode, m, n, k, elemBytes int) Plan {
 		Mode:       mode,
 		ElemBytes:  elemBytes,
 		Tile:       x.tile,
+		HostTile:   x.host,
 		Blocking:   x.blk,
 		ShapeClass: telemetry.ClassifyShape(m, n, k),
 		BStrategy:  x.packB(n, k),
@@ -84,17 +92,19 @@ func PlanFor(cfg Config, mode Mode, m, n, k, elemBytes int) Plan {
 }
 
 // execPlan is the driver's per-call decision sequence (Alg. 1), derived in
-// one place for single calls, batches and PlanFor: the §5.2 tile, the §5.5
-// blocking and the breaker path they run under, with the per-problem §4
-// packing choice and §6 partition as methods. A tuned dispatch override
-// substitutes the tile, KC and path (resolveOverride). The driver passes it
-// by pointer: it is copied only where a tuned tile or a threaded fan-out
-// needs a copy of its own.
+// one place for single calls, batches and PlanFor: the modelled §5.2 tile,
+// the host tile the loop nest sweeps, the §5.5 blocking and the breaker
+// path they run under, with the per-problem §4 packing choice and §6
+// partition as methods. A tuned dispatch override substitutes both tiles,
+// KC and path (resolveOverride). The driver passes it by pointer: it is
+// copied only where a tuned tile or a threaded fan-out needs a copy of its
+// own.
 type execPlan struct {
 	plat      *platform.Platform
 	mode      Mode
 	elemBytes int
 	tile      analytic.Tile
+	host      kernels.HostTile
 	blk       analytic.Blocking
 	path      string
 }
@@ -105,6 +115,7 @@ func derivePlan(plat *platform.Platform, mode Mode, elemBytes int) execPlan {
 		mode:      mode,
 		elemBytes: elemBytes,
 		tile:      analytic.SolveForElem(elemBytes),
+		host:      kernels.HostTileFor(elemBytes),
 		blk:       analytic.BlockingFor(plat, elemBytes),
 		path:      guard.PathFor(elemBytes),
 	}
@@ -120,10 +131,10 @@ func (p *execPlan) packB(n, k int) pack.Strategy {
 }
 
 // split is the §6 partition of an m×n problem over threads and the C
-// blocks it yields, aligned to the plan's tile.
+// blocks it yields, aligned to the host tile the blocks are swept in.
 func (p *execPlan) split(m, n, threads int) (analytic.Partition, []parallel.Block) {
 	part := analytic.PartitionFor(m, n, threads)
-	return part, parallel.Blocks(m, n, part, p.tile.MR, p.tile.NR)
+	return part, parallel.Blocks(m, n, part, p.host.MR, p.host.NR)
 }
 
 // String renders the plan for humans.
@@ -131,6 +142,7 @@ func (p Plan) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "mode %s, %d-byte elements, shape class %s\n", p.Mode, p.ElemBytes, p.ShapeClass)
 	fmt.Fprintf(&b, "micro-kernel tile: %dx%d (CMR %.2f, %d registers)\n", p.Tile.MR, p.Tile.NR, p.Tile.CMR, p.Tile.Regs)
+	fmt.Fprintf(&b, "host tile: %dx%d (%s kernels)\n", p.HostTile.MR, p.HostTile.NR, p.HostTile.Level)
 	fmt.Fprintf(&b, "blocking: mc=%d kc=%d nc=%d\n", p.Blocking.MC, p.Blocking.KC, p.Blocking.NC)
 	fmt.Fprintf(&b, "B packing: %s (lookahead t=%d)", p.BStrategy, int(p.Depth))
 	if p.PackA {

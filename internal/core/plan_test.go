@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"libshalom/internal/kernels"
 	"libshalom/internal/pack"
 	"libshalom/internal/platform"
 )
@@ -95,5 +97,32 @@ func TestPlanString(t *testing.T) {
 	s1 := PlanFor(Config{}, TN, 8, 8, 8, 8).String()
 	if !strings.Contains(s1, "single-threaded") || !strings.Contains(s1, "A gathered") {
 		t.Fatalf("TN plan rendering wrong:\n%s", s1)
+	}
+}
+
+// TestPlanHostTile keeps the two tiles apart: the modelled tile stays the
+// paper's 7×12 / 7×6 at every kernel level, and the host tile follows the
+// level — 8×32 / 8×16 at a SIMD level, the modelled tile under purego —
+// and is rendered with it.
+func TestPlanHostTile(t *testing.T) {
+	for _, lv := range kernels.Levels() {
+		atLevel(t, lv, func() {
+			for _, tc := range []struct{ elem, mr, nr, hostNR int }{{4, 7, 12, 32}, {8, 7, 6, 16}} {
+				p := PlanFor(Config{}, NN, 64, 64, 64, tc.elem)
+				want := kernels.HostTile{MR: 8, NR: tc.hostNR, Level: lv}
+				if lv == "purego" {
+					want.MR, want.NR = tc.mr, tc.nr
+				}
+				if p.Tile.MR != tc.mr || p.Tile.NR != tc.nr {
+					t.Errorf("%s %d-byte: modelled tile %dx%d, want %dx%d", lv, tc.elem, p.Tile.MR, p.Tile.NR, tc.mr, tc.nr)
+				}
+				if p.HostTile != want {
+					t.Errorf("%s %d-byte: host tile %+v, want %+v", lv, tc.elem, p.HostTile, want)
+				}
+				if frag := fmt.Sprintf("host tile: %dx%d (%s kernels)", want.MR, want.NR, lv); !strings.Contains(p.String(), frag) {
+					t.Errorf("plan rendering lacks %q:\n%s", frag, p)
+				}
+			}
+		})
 	}
 }

@@ -88,13 +88,15 @@ func checkExactLength[T float](t *testing.T, name string, ks kernelSet[T], mr, n
 
 // TestMicroKernelsExactLength covers the row remainders 1–3 both alone and
 // after a full block of four rows, and every column chunk with every tail
-// (FP32 12/8/4 plus 1–3, FP64 6/4/2 plus 1), at every kernel level.
+// (AVX-512 FP32 32/16 plus a masked 1–15, FP64 16/8 plus a masked 1–7;
+// AVX2 FP32 12/8/4 plus 1–3, FP64 6/4/2 plus 1), at every kernel level, so
+// a masked load or store that touched a lane past the operand would fault.
 func TestMicroKernelsExactLength(t *testing.T) {
 	rng := mat.NewRNG(16)
-	for _, lv := range levels() {
+	for _, lv := range Levels() {
 		atLevel(lv, func() {
 			for mr := 1; mr <= 7; mr++ {
-				for nr := 1; nr <= 27; nr++ {
+				for nr := 1; nr <= 33; nr++ {
 					for _, kc := range []int{1, 7} {
 						for _, beta := range []float64{0, 0.5} {
 							checkExactLength(t, "f32/"+lv, f32Set, mr, nr, kc, float32(beta), rng)

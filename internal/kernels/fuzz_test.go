@@ -227,10 +227,11 @@ func TestAnalyzerOnEdgeKernels(t *testing.T) {
 	}
 }
 
-// FuzzMicroKernelsBitExact feeds arbitrary tile shapes, panel depths,
-// leading-dimension padding and scalars to the four Go kernels and the pack
-// wrappers, requiring bit equality with the k-ordered oracles (the seed
-// corpus runs in go test; go test -fuzz explores further).
+// FuzzMicroKernelsBitExact feeds arbitrary tile shapes up to one past the
+// host tile, panel depths, leading-dimension padding and scalars to the
+// NN, NT and NT-pack kernels at every kernel level, requiring bit
+// equality with the k-ordered oracles (the seed corpus runs in go test;
+// go test -fuzz explores further).
 func FuzzMicroKernelsBitExact(f *testing.F) {
 	f.Add(uint64(1), uint8(7), uint8(12), uint16(256), uint8(0), 1.0, 0.0)
 	f.Add(uint64(2), uint8(7), uint8(6), uint16(431), uint8(3), -0.5, 1.0)
@@ -240,12 +241,22 @@ func FuzzMicroKernelsBitExact(f *testing.F) {
 	// as the Go comparison decides; the assembly tests β itself.
 	f.Add(uint64(5), uint8(7), uint8(12), uint16(9), uint8(0), 1.0, math.NaN())
 	f.Add(uint64(6), uint8(7), uint8(12), uint16(9), uint8(0), 1.0, math.Copysign(0, -1))
+	// The host tiles 8×32 and 8×16, one past 8×32 into the AVX-512 masked
+	// chunk, and a 5×23 edge tile (shapes are the operands plus one).
+	f.Add(uint64(7), uint8(7), uint8(31), uint16(255), uint8(0), 1.0, 0.0)
+	f.Add(uint64(8), uint8(7), uint8(15), uint16(430), uint8(2), -0.5, 1.0)
+	f.Add(uint64(9), uint8(8), uint8(32), uint16(63), uint8(7), 1.5, math.NaN())
+	f.Add(uint64(10), uint8(4), uint8(22), uint16(30), uint8(1), 2.0, math.Copysign(0, -1))
 	f.Fuzz(func(t *testing.T, seed uint64, mr, nr uint8, kc uint16, pad uint8, alpha, beta float64) {
-		tc := microCase{mr: int(mr%9) + 1, nr: int(nr%14) + 1, kc: int(kc%512) + 1, alpha: alpha, beta: beta}
+		tc := microCase{mr: int(mr%9) + 1, nr: int(nr%33) + 1, kc: int(kc%512) + 1, alpha: alpha, beta: beta}
 		p := int(pad % 8)
 		tc.lda, tc.ldb, tc.ldbT, tc.ldc = tc.kc+p, tc.nr+p, tc.kc+p/2, tc.nr+p/3
-		rng := mat.NewRNG(seed)
-		checkBitExact(t, "f32", f32Set, tc, rng)
-		checkBitExact(t, "f64", f64Set, tc, rng)
+		for _, lv := range Levels() {
+			atLevel(lv, func() {
+				rng := mat.NewRNG(seed)
+				checkBitExact(t, "f32/"+lv, f32Set, tc, rng)
+				checkBitExact(t, "f64/"+lv, f64Set, tc, rng)
+			})
+		}
 	})
 }

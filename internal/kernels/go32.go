@@ -1,6 +1,6 @@
 // Package kernels contains every micro-kernel of the reproduction:
 //
-//   - the host compute kernels behind SGEMMMicro, DGEMMMicro and their
+//   - the host compute kernels behind SGEMMMicro, DGEMMMicro and the NT
 //     packing variants, used by the real GEMM drivers in internal/core and
 //     internal/baselines, and
 //   - virtual-NEON ISA programs (main_isa.go, ntpack_isa.go, edge_isa.go)
@@ -10,30 +10,41 @@
 //     interleaved-scheduled edge kernels of Fig 6 — for the timing model and
 //     for functional cross-validation.
 //
-// The host kernels apply §5.2's register tiling to the host they run on;
-// the plan's modelled tile (7×12 FP32, 7×6 FP64, sized for 32 NEON
-// registers by Eq. 1) is what the drivers sweep. On amd64 with AVX2 (a
-// CPUID/XGETBV check at init; Level reports it) a tile runs on the
-// assembly kernels in simd_amd64.s: rows in blocks of four, then the 1–3
-// leftover rows, columns in chunks of 12 (one ymm and one xmm register per
-// row), 8 and 4 for FP32 and of 6, 4 and 2 for FP64, so a 4-row block of
-// the main tile keeps eight independent accumulator chains in registers.
-// Each k step broadcasts one A element per row, loads one B row and does
-// one multiply and one add per accumulator. The last 1–3 FP32 columns (one
-// FP64 column) run on the portable Go kernels, which are also the whole
-// path under the purego build tag, on other GOARCH values and on CPUs
-// without AVX2: 2×4 outer-product blocks of named scalar accumulators for
-// NN tiles and 2×2 dot-product blocks for NT tiles, the largest blocks the
-// 15 allocatable amd64 float registers hold without spilling.
+// The host kernels apply §5.2's register tiling to the host they run on.
+// The plan's modelled tile (7×12 FP32, 7×6 FP64, sized for 32 NEON
+// registers by Eq. 1) drives the ISA programs and the timing model; the
+// drivers sweep the host tile HostTileFor returns for the kernel level
+// (levels.go): 8×32 FP32 and 8×16 FP64 at a SIMD level, the modelled tile
+// under purego. A CPUID/XGETBV check at init picks the level (Level
+// reports it, SetLevel switches it in-process):
 //
-// Both paths keep the arithmetic of the scalar i-j-k loop: every C element
-// is summed in its own precision in k order 0…kc−1, each product rounded
-// before its add, and then combined as α·acc + β·c (β = 0 overwrites C
-// without reading it). The assembly deliberately uses a separate VMULPS /
-// VADDPS (VMULPD / VADDPD) instead of FMA: a fused multiply-add skips the
-// product's rounding, so it would be faster but not bit-identical to the
-// scalar loop, and every kernel test here compares bit patterns. An FMA
-// kernel needs the comparisons to use a stated rounding-error bound first.
+//   - avx512 (avx512_amd64.s): rows in blocks of four, then the 1–3
+//     leftover rows; columns in chunks of 32 FP32 / 16 FP64 (two zmm
+//     registers per row, eight accumulator chains per 4-row block), then
+//     one-zmm chunks under an opmask that selects all lanes or the last
+//     1–15 FP32 / 1–7 FP64 columns, so no column leaves the assembly;
+//   - avx2 (simd_amd64.s): the same row blocks, columns in chunks of 12
+//     (one ymm and one xmm register per row), 8 and 4 for FP32 and of 6, 4
+//     and 2 for FP64; the last 1–3 FP32 columns (one FP64 column) run on
+//     the Go kernels;
+//   - purego (go32.go, go64.go): the whole path under the purego build
+//     tag, on other GOARCH values and on CPUs without AVX2 — 2×4
+//     outer-product blocks of named scalar accumulators for NN tiles and
+//     2×2 dot-product blocks for NT tiles, the largest blocks the 15
+//     allocatable amd64 float registers hold without spilling.
+//
+// Each SIMD k step broadcasts one A element per row, loads one B row and
+// does one multiply and one add per accumulator.
+//
+// Every level keeps the arithmetic of the scalar i-j-k loop: every C
+// element is summed in its own precision in k order 0…kc−1, each product
+// rounded before its add, and then combined as α·acc + β·c (β = 0
+// overwrites C without reading it). The assembly deliberately uses a
+// separate VMULPS / VADDPS (VMULPD / VADDPD) instead of FMA: a fused
+// multiply-add skips the product's rounding, so it would be faster but not
+// bit-identical to the scalar loop, and every kernel test here compares
+// bit patterns. An FMA kernel needs the comparisons to use a stated
+// rounding-error bound first.
 //
 // Tests assert that for identical tiles the host kernels at every level,
 // the ISA programs executed by internal/vexec, and the naive reference in
@@ -234,24 +245,6 @@ func sstore1(c *float32, alpha, beta, v float32) {
 	}
 }
 
-// SGEMMMicroPackB packs the kc×nr B sliver from its strided source into the
-// linear buffer bc (row-major, leading dimension nrTotal, starting at column
-// jOff) and updates the mr×nr C tile from bc. This is the Go counterpart of
-// the NN-mode packing micro-kernel (Alg 1 lines 6–8): the first sliver of
-// every mc-panel packs B while it updates C, and subsequent slivers reuse
-// bc. The tile reads the packed copy, not the source: source rows lie ldb
-// apart, often a multiple of 4 KiB, so a second strided pass over them
-// costs cache-set conflicts whose count depends on where the pages landed.
-// The values and their k order are the same either way, so C is too.
-//
-//shalom:hotpath noalloc,nolock,noblock,notime
-func SGEMMMicroPackB(mr, nr, kc int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int, bc []float32, nrTotal, jOff int) {
-	for k := 0; k < kc; k++ {
-		copy(bc[k*nrTotal+jOff:k*nrTotal+jOff+nr], b[k*ldb:k*ldb+nr])
-	}
-	SGEMMMicro(mr, nr, kc, alpha, a, lda, bc[jOff:], nrTotal, beta, c, ldc)
-}
-
 // SGEMMMicroNT computes an mr×nr FP32 tile under the NT data layout: bT is
 // the transposed operand as stored (N×K row-major), so element B(k, j) of
 // the logical K×N operand is bT[j*ldbT + k]. It is portable Go only: the
@@ -348,7 +341,7 @@ func sgemmNT1x1(kc int, alpha float32, a []float32, bT []float32, beta float32, 
 // SGEMMMicroNTPack is the host counterpart of the NT packing micro-kernel
 // (Fig 5 / Alg 3): it scatters the kc×nr sliver of the stored-transposed
 // bT into the linear buffer bc (row-major kc×nrTotal at column jOff), so
-// later tiles can run the 7×12 outer-product main kernel, and updates the
+// later tiles can run the outer-product main kernel, and updates the
 // mr×nr C tile — from bc with the SIMD outer-product kernel, or from bT
 // with the inner-product SGEMMMicroNT on the pure-Go path. Both compute
 // the same products in the same k order, so C is bit-identical.

@@ -185,17 +185,6 @@ func dstore1(c *float64, alpha, beta, v float64) {
 	}
 }
 
-// DGEMMMicroPackB is the FP64 NN packing micro-kernel: pack the kc×nr B
-// sliver into bc and update C from it (see SGEMMMicroPackB).
-//
-//shalom:hotpath noalloc,nolock,noblock,notime
-func DGEMMMicroPackB(mr, nr, kc int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int, bc []float64, nrTotal, jOff int) {
-	for k := 0; k < kc; k++ {
-		copy(bc[k*nrTotal+jOff:k*nrTotal+jOff+nr], b[k*ldb:k*ldb+nr])
-	}
-	DGEMMMicro(mr, nr, kc, alpha, a, lda, bc[jOff:], nrTotal, beta, c, ldc)
-}
-
 // DGEMMMicroNT computes an mr×nr FP64 tile with B supplied as stored-
 // transposed (N×K row-major); see SGEMMMicroNT.
 //

@@ -112,33 +112,6 @@ func TestDGEMMMicroMatchesRef(t *testing.T) {
 	}
 }
 
-func TestPackBKernelsPackAndCompute(t *testing.T) {
-	rng := mat.NewRNG(9)
-	mr, nr, kc, nrTotal, jOff := 7, 12, 8, 24, 12
-	a := fillRand32(mr*kc, rng)
-	b := fillRand32(kc*40, rng)
-	ldb := 40
-	c := fillRand32(mr*nr, rng)
-	cc := append([]float32(nil), c...)
-	bc := make([]float32, kc*nrTotal)
-	SGEMMMicroPackB(mr, nr, kc, 1, a, kc, b, ldb, 1, cc, nr, bc, nrTotal, jOff)
-	// Compute must match the plain kernel.
-	SGEMMMicro(mr, nr, kc, 1, a, kc, b, ldb, 1, c, nr)
-	for i := range c {
-		if c[i] != cc[i] {
-			t.Fatal("PackB kernel computed different C")
-		}
-	}
-	// Packed layout: bc[k*nrTotal + jOff + j] == b[k*ldb + j].
-	for k := 0; k < kc; k++ {
-		for j := 0; j < nr; j++ {
-			if bc[k*nrTotal+jOff+j] != b[k*ldb+j] {
-				t.Fatalf("Bc(%d,%d) misplaced", k, j)
-			}
-		}
-	}
-}
-
 func TestNTKernelsMatchTransposedRef(t *testing.T) {
 	rng := mat.NewRNG(12)
 	mr, nr, kc := 7, 3, 8

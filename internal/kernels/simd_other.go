@@ -2,14 +2,12 @@
 
 package kernels
 
-// Level names the host kernels the micro-kernel entry points run: always
-// "purego" on this build, which has no SIMD kernels.
-func Level() string { return "purego" }
+// hostLevel is always purego on this build, which has no SIMD kernels.
+const hostLevel = levelPureGo
 
-// SetPureGo has nothing to switch on this build.
-func SetPureGo(bool) {}
+func currentLevel() kernelLevel { return levelPureGo }
 
-func simd() bool { return false }
+func storeLevel(kernelLevel) {}
 
 // The SIMD entry points are the Go kernels on this build; simd reports
 // false, so the dispatch never reaches them.

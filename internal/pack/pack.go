@@ -2,9 +2,11 @@
 // packing routines every GEMM driver uses and the runtime packing decision
 // rules of §4. LibShalom's drivers (internal/core) call the predicates to
 // decide whether to pack at all and, when packing, do it inside the
-// micro-kernel (internal/kernels Pack* kernels); the baseline drivers
-// (internal/baselines) use the sequential whole-panel routines here, which is
-// exactly the behaviour the paper contrasts against.
+// micro-kernel for NT/TT (internal/kernels NTPack kernels) and as one
+// row-by-row pass over each kc×nc panel for NN/TN (PackBSlivers); the
+// baseline drivers (internal/baselines) use the sequential whole-panel
+// routines here, which is exactly the behaviour the paper contrasts
+// against.
 package pack
 
 // Strategy describes what a driver decided to do about one operand.
@@ -95,6 +97,25 @@ func PackBF64(dst []float64, b []float64, ldb, k0, j0, kc, nc int) {
 	for k := 0; k < kc; k++ {
 		src := b[(k0+k)*ldb+j0 : (k0+k)*ldb+j0+nc]
 		copy(dst[k*nc:k*nc+nc], src)
+	}
+}
+
+// PackBSlivers copies the kc×nc block of B at b (row stride ldb) into dst
+// as consecutive nr-wide slivers: the sliver of columns j…j+w−1
+// (w = min(nr, nc−j)) is a row-major kc×w block at dst[j*kc:]. It walks B
+// one source row at a time, so each row is read contiguously, once, however
+// far apart the rows lie. LibShalom's NN driver packs a whole (ii, kk)
+// panel this way and then runs every micro-tile of a sliver from dst.
+//
+//shalom:hotpath noalloc,nolock,noblock,notime
+func PackBSlivers[T ~float32 | ~float64](dst []T, b []T, ldb, kc, nc, nr int) {
+	for k := 0; k < kc; k++ {
+		src := b[k*ldb : k*ldb+nc]
+		for j := 0; j < nc; j += nr {
+			w := min(nr, nc-j)
+			o := j*kc + k*w
+			copy(dst[o:o+w], src[j:j+w])
+		}
 	}
 }
 

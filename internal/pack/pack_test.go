@@ -147,3 +147,30 @@ func TestPackF64Variants(t *testing.T) {
 		t.Fatal("PackATransposedF64 wrong")
 	}
 }
+
+// TestPackBSlivers checks that every element of a kc×nc block lands in its
+// nr-wide sliver, including a narrower last sliver, in both precisions.
+func TestPackBSlivers(t *testing.T) {
+	const kc, nc, nr, ldb = 5, 11, 4, 13
+	b := make([]float64, (kc-1)*ldb+nc)
+	for i := range b {
+		b[i] = float64(i)
+	}
+	dst := make([]float64, kc*nc)
+	PackBSlivers(dst, b, ldb, kc, nc, nr)
+	b32 := make([]float32, len(b))
+	for i, v := range b {
+		b32[i] = float32(v)
+	}
+	dst32 := make([]float32, kc*nc)
+	PackBSlivers(dst32, b32, ldb, kc, nc, nr)
+	for k := 0; k < kc; k++ {
+		for j := 0; j < nc; j++ {
+			s, w := j/nr*nr, min(nr, nc-j/nr*nr)
+			at := s*kc + k*w + j - s
+			if want := b[k*ldb+j]; dst[at] != want || float64(dst32[at]) != want {
+				t.Fatalf("B(%d,%d) packed as %v / %v, want %v", k, j, dst[at], dst32[at], want)
+			}
+		}
+	}
+}

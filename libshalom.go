@@ -260,8 +260,8 @@ func DGEMM(mode Mode, m, n, k int, alpha float64, a []float64, lda int, b []floa
 	return defaultCtx.DGEMM(mode, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
-// Plan describes every decision the driver takes for a call (tile,
-// blocking, §4 packing strategy, §6 partition); see core.Plan.
+// Plan describes every decision the driver takes for a call (modelled and
+// host tiles, blocking, §4 packing strategy, §6 partition); see core.Plan.
 type Plan = core.Plan
 
 // PlanFor returns the execution plan a context would follow for the given
